@@ -20,7 +20,6 @@ from .words import (
     reverse_word,
 )
 from .roots import (
-    StreamingRoot,
     root_le_k,
     root_le2,
     root_le3,

@@ -106,22 +106,11 @@ def irreducible_region_count(i: int, m: int) -> int:
     return _aba_count(i, m) + _abc_count(i, m)
 
 
-@lru_cache(maxsize=8)
-def _cumulative_irreducible(n: int, k: int) -> tuple[int, ...]:
-    counts = irreducible_counts(n, 3, k)
-    out = [0] * (n + 1)
-    running = 0
-    for i in range(1, n + 1):
-        running += counts[i]
-        out[i] = running
-    return tuple(out)
-
-
 def le2_upper_bound(n: int) -> int:
     """Code-size bound through optimal codes for duplication length <= 2."""
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    return _cumulative_irreducible(n, 2)[n]
+    return sum(irreducible_counts(n, 3, 2))
 
 
 def refined_upper_bound(n: int) -> int:

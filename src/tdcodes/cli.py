@@ -51,9 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tandem-duplication words: roots, confusability, codes and bounds.",
     )
     parser.add_argument("--q", type=int, default=3, help="alphabet size (default 3)")
-    parser.add_argument(
-        "--format", choices=("text", "json", "tsv"), default="text", help="output format"
-    )
+    parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     parser.add_argument(
         "--budget-states",
         type=int,

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice, permutations
 
 from .words import Word, check_word, is_irreducible, pad_tail, render_word, parse_word
-from .confusability import confusable, count_regions, main_and_region
-from .oracle import enumerate_irreducible, canonical_form
+from .confusability import _regions, confusable, main_and_region
+from .oracle import _walk, enumerate_irreducible, canonical_form
 
 __all__ = [
     "Code",
@@ -246,6 +247,12 @@ def _prefix_options(r: Word) -> tuple[tuple[int, int, tuple[Word, ...]], ...]:
     return ((3, 6, two), (3, 12, three))
 
 
+def _few_regions(r: Word) -> int:
+    # region count of r capped at 2: the prefix recursion only tells apart
+    # zero, one, and two or more regions
+    return sum(1 for _ in islice(_regions(r), 2))
+
+
 def _chain_values(r: Word, n_max: int, cache=None) -> dict[tuple[Word, int], int]:
     # best known code size for (suffix of r, length), by the prefix
     # recursion over the padded baseline; sizes for zero- and one-region
@@ -266,7 +273,7 @@ def _chain_values(r: Word, n_max: int, cache=None) -> dict[tuple[Word, int], int
             if hit is not None:
                 result = hit[0]
         if result is None:
-            m = count_regions(rr)
+            m = _few_regions(rr)
             if m == 0:
                 result = 1
             elif m == 1:
@@ -287,6 +294,15 @@ def _chain_values(r: Word, n_max: int, cache=None) -> dict[tuple[Word, int], int
     return memo
 
 
+def _best_sizes(r: Word, n_max: int, cache=None) -> dict[int, int]:
+    # per length len(r)..n_max, the larger chain value of r and of its
+    # reversal (reversing every word of a code keeps it a code)
+    values = _chain_values(r, n_max, cache)
+    rev = r[::-1]
+    rev_values = _chain_values(rev, n_max, cache) if rev != r else values
+    return {nn: max(values[(r, nn)], rev_values[(rev, nn)]) for nn in range(len(r), n_max + 1)}
+
+
 def recursive_size(r: Word, n: int, cache=None) -> int:
     """Best known code size for root ``r`` at length ``n``.
 
@@ -298,17 +314,12 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
     check_word(r)
     if not is_irreducible(r, 3):
         raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
-    forward = _chain_values(r, n, cache).get((r, n), 0)
-    rev = r[::-1]
-    if rev == r:
-        return forward
-    backward = _chain_values(rev, n, cache).get((rev, n), 0)
-    return max(forward, backward)
+    return _best_sizes(r, n, cache).get(n, 0)
 
 
 def _materialize(rr: Word, nn: int, memo: dict[tuple[Word, int], int]) -> set[Word]:
     target = memo[(rr, nn)]
-    m = count_regions(rr)
+    m = _few_regions(rr)
     if m == 0 or target <= 1:
         return {pad_tail(rr, nn - len(rr))}
     if m == 1:
@@ -322,9 +333,25 @@ def _materialize(rr: Word, nn: int, memo: dict[tuple[Word, int], int]) -> set[Wo
         if len(prefixes) * memo.get((tail, nn - drop), 0) == target:
             inner = _materialize(tail, nn - drop, memo)
             return {p + w for p in prefixes for w in inner}
-    # target must come from padding the code one length down
-    inner = _materialize(rr, nn - 1, memo, cache)
-    return {pad_tail(w, 1) for w in inner}
+    # Unreachable.  With two or more regions and nn > len(rr) + 2,
+    # value(rr, nn) = max(2, value(rr, nn - 1), options(nn)) where each
+    # option is len(prefixes) * value(tail, nn - drop).  value is
+    # nondecreasing in the length, so the options are too, and induction
+    # from value(rr, len(rr) + 2) = 1 gives value(rr, nn) = max(2,
+    # options(nn)): a target above 2 always equals some option.
+    raise RuntimeError(f"no construction of size {target} for {rr!r} at length {nn}")
+
+
+def _recursive_words(r: Word, n: int) -> set[Word]:
+    # the recursive construction for r or for its reversal, whichever is
+    # larger (r on ties), without consulting any size cache
+    memo = _chain_values(r, n)
+    rev = r[::-1]
+    if rev != r:
+        rev_memo = _chain_values(rev, n)
+        if rev_memo[(rev, n)] > memo[(r, n)]:
+            return {x[::-1] for x in _materialize(rev, n, rev_memo)}
+    return _materialize(r, n, memo)
 
 
 def recursive_code(r: Word, n: int) -> Code:
@@ -339,15 +366,7 @@ def recursive_code(r: Word, n: int) -> Code:
         raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    fwd_memo = _chain_values(r, n)
-    rev = r[::-1]
-    if rev != r:
-        rev_memo = _chain_values(rev, n)
-        if rev_memo[(rev, n)] > fwd_memo[(r, n)]:
-            words = _materialize(rev, n, rev_memo)
-            return Code(n, max(3, max(r) + 1), frozenset(x[::-1] for x in words), "recursive")
-    best_words = _materialize(r, n, fwd_memo)
-    return Code(n, max(3, max(r) + 1), frozenset(best_words), "recursive")
+    return Code(n, max(3, max(r) + 1), frozenset(_recursive_words(r, n)), "recursive")
 
 
 def find_confusable_pair(code: Code, full: bool = False) -> tuple[Word, Word] | None:
@@ -389,27 +408,7 @@ def validate_code(code: Code, full: bool = False) -> bool:
 def _iter_canonical_irreducible(n_max: int):
     # canonical (first-occurrence relabeled) irreducible ternary words of
     # every length up to n_max
-    prefix = bytearray()
-
-    def rec(used: int):
-        if prefix:
-            yield bytes(prefix)
-        if len(prefix) == n_max:
-            return
-        top = min(used + 1, 3)
-        for s in range(top):
-            if prefix and prefix[-1] == s:
-                continue
-            np = len(prefix)
-            if np >= 3 and prefix[-2] == s and prefix[-3] == prefix[-1]:
-                continue
-            if np >= 5 and prefix[-3] == s and prefix[-4] == prefix[-1] and prefix[-5] == prefix[-2]:
-                continue
-            prefix.append(s)
-            yield from rec(max(used, s + 1))
-            del prefix[-1:]
-
-    yield from rec(0)
+    return _walk(1, n_max, 3, 3, canonical=True)
 
 
 def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
@@ -426,12 +425,9 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     totals = {t: 0 for t in targets}
     for root in _iter_canonical_irreducible(n_max):
         _, orbit = canonical_form(root)
-        values = _chain_values(root, n_max, cache)
-        rev = root[::-1]
-        rev_values = _chain_values(rev, n_max, cache) if rev != root else values
+        sizes = _best_sizes(root, n_max, cache)
         for t in targets:
-            if len(root) <= t:
-                totals[t] += orbit * max(values[(root, t)], rev_values[(rev, t)])
+            totals[t] += orbit * sizes.get(t, 0)
     return totals
 
 
@@ -445,36 +441,18 @@ def assemble_lower_bound(n: int, cache=None, materialize: bool = False):
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    total = 0
+    total = assemble_lower_bounds([n], cache)[n]
+    if not materialize:
+        return total, None
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
-        if len(root) > n:
-            continue
-        _, orbit = canonical_form(root)
-        values = _chain_values(root, n, cache)
-        rev = root[::-1]
-        rev_values = _chain_values(rev, n, cache) if rev != root else values
-        total += orbit * max(values[(root, n)], rev_values[(rev, n)])
-        if materialize:
-            plain = _chain_values(root, n) if cache is not None else values
-            plain_rev = (
-                (_chain_values(rev, n) if cache is not None else rev_values)
-                if rev != root
-                else plain
-            )
-            if plain[(root, n)] >= plain_rev[(rev, n)]:
-                best = _materialize(root, n, plain)
-            else:
-                best = {x[::-1] for x in _materialize(rev, n, plain_rev)}
-            for perm in _symbol_injections(root):
-                words |= {x.translate(perm) for x in best}
-    code = Code(n, 3, frozenset(words), "assembled") if materialize else None
-    return total, code
+        best = _recursive_words(root, n)
+        for perm in _symbol_injections(root):
+            words |= {x.translate(perm) for x in best}
+    return total, Code(n, 3, frozenset(words), "assembled")
 
 
 def _symbol_injections(root: Word):
-    from itertools import permutations
-
     d = len(set(root))
     for image in permutations(range(3), d):
         table = bytearray(range(256))

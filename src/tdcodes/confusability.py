@@ -13,6 +13,7 @@ labels decide confusability of the underlying words directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .words import Word, check_word, tandem_duplicate
 from .roots import root_le_k, root_le3
@@ -104,18 +105,14 @@ def main_and_region(r: Word) -> RegionDescriptor:
     return RegionDescriptor(main, reg, w, abc, ell)
 
 
-def extended_prefix(desc: RegionDescriptor, x: Word, early_exit: bool = False) -> Word:
+def extended_prefix(desc: RegionDescriptor, x: Word) -> Word:
     """Longest prefix of ``x`` generated from ``desc.reg`` by duplications.
 
     A prefix is generated from the region exactly when its root equals the
     region (the region is irreducible and roots are unique), so the scan
     streams the root of each prefix and keeps the last position where the
     stack equals the region.  Matches can recur arbitrarily late, so the
-    reference path scans the whole word.
-
-    ``early_exit`` stops the scan once the stack grew 7 symbols past the
-    region with a diverged prefix.  That cutoff is a heuristic, not a
-    theorem; leave it off when correctness matters.
+    scan covers the whole word.
     """
     reg = desc.reg
     d = len(reg)
@@ -138,8 +135,6 @@ def extended_prefix(desc: RegionDescriptor, x: Word, early_exit: bool = False) -
             n += 1
         if n == d and st == reg:
             best = idx + 1
-        elif early_exit and n > d + 6 and st[:d] != reg:
-            break
     if best == 0:
         raise MalformedWordError(f"no prefix of {x!r} is generated from region {reg!r}")
     return x[:best]
@@ -166,10 +161,34 @@ def count_occurrences(t: Word, x: Word, rotations: bool = False) -> int:
     return x.count(t) + x.count(t[1:] + t[:1]) + x.count(t[2:] + t[:2])
 
 
-def _few_symbols(r: Word) -> bool:
-    # an irreducible word of length >= 4 always has >= 3 distinct symbols,
-    # so the first four positions decide
-    return len(set(r[:4])) <= 2
+def _regions(r: Word) -> Iterator[RegionDescriptor]:
+    # the first region of the root and of every suffix left after peeling
+    # it; an irreducible word of length >= 4 always has >= 3 distinct
+    # symbols, so the first four positions decide when peeling stops
+    while len(set(r[:4])) >= 3:
+        desc = main_and_region(r)
+        yield desc
+        r = r[len(desc.reg) - 2 :]
+
+
+def _peel(x: Word, r: Word) -> Iterator[tuple[tuple[int, str], int]]:
+    # ((count, sign), generated-prefix length) per region of the root r of
+    # x; each round continues on the suffix of x from the last a of the
+    # generated prefix, whose root is the peeled suffix of r
+    for desc in _regions(r):
+        main = desc.main
+        p = extended_prefix(desc, x)
+        count = count_occurrences(main, root_le_k(p, 2))
+        sign = "+" if count_occurrences(main, p, rotations=True) else "-"
+        yield (count, sign), len(p)
+        x = x[p.rfind(desc.abc[0]) :]
+
+
+def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
+    # one region rules confusability out exactly when its count is strictly
+    # smaller on the side whose sign is "-"
+    (cx, sx), (cy, sy) = ex, ey
+    return not (cx < cy and sx == "-" or cy < cx and sy == "-")
 
 
 def confusable_with_cost(x: Word, y: Word) -> tuple[bool, int]:
@@ -184,25 +203,11 @@ def confusable_with_cost(x: Word, y: Word) -> tuple[bool, int]:
     if r != root_le3(y):
         return False, 0
     cost = 0
-    while True:
-        if _few_symbols(r):
-            return True, cost
-        desc = main_and_region(r)
-        p = extended_prefix(desc, x)
-        q = extended_prefix(desc, y)
-        cost += len(p) + len(q)
-        cp = count_occurrences(desc.main, root_le_k(p, 2))
-        cq = count_occurrences(desc.main, root_le_k(q, 2))
-        if cp != cq:
-            shorter = p if cp < cq else q
-            if count_occurrences(desc.main, shorter, rotations=True) == 0:
-                return False, cost
-        a = desc.abc[0]
-        x = x[p.rfind(a) :]
-        y = y[q.rfind(a) :]
-        r = r[len(desc.reg) - 2 :]
-        if __debug__ and len(x) <= 48 and len(y) <= 48:
-            assert root_le3(x) == r == root_le3(y)
+    for (ex, px), (ey, py) in zip(_peel(x, r), _peel(y, r)):
+        cost += px + py
+        if not _entry_confusable(ex, ey):
+            return False, cost
+    return True, cost
 
 
 def confusable(x: Word, y: Word) -> bool:
@@ -224,13 +229,21 @@ class Label:
     entries: tuple[tuple[int, str], ...]
 
     def text(self) -> str:
-        body = "".join(f"({c},{s})" for c, s in self.entries)
-        return "".join(str(v) for v in self.root) + ":" + body
+        # one digit per symbol, or comma-separated once a symbol needs two
+        # digits; a one-symbol root then keeps a trailing comma
+        if max(self.root, default=0) < 10:
+            root = "".join(str(v) for v in self.root)
+        else:
+            root = ",".join(str(v) for v in self.root) + ("," if len(self.root) == 1 else "")
+        return root + ":" + "".join(f"({c},{s})" for c, s in self.entries)
 
     @classmethod
     def parse(cls, text: str) -> "Label":
         root_part, _, body = text.partition(":")
-        root = bytes(int(ch) for ch in root_part)
+        if "," in root_part:
+            root = bytes(int(v) for v in root_part.split(",") if v)
+        else:
+            root = bytes(int(ch) for ch in root_part)
         entries = []
         for piece in body.split(")"):
             piece = piece.strip("(")
@@ -247,17 +260,7 @@ def compute_label(x: Word) -> Label:
     """Compute the label of ``x`` by peeling its root region by region."""
     check_word(x)
     r = root_le3(x)
-    entries: list[tuple[int, str]] = []
-    xi, ri = x, r
-    while not _few_symbols(ri):
-        desc = main_and_region(ri)
-        p = extended_prefix(desc, xi)
-        c = count_occurrences(desc.main, root_le_k(p, 2))
-        sign = "+" if count_occurrences(desc.main, p, rotations=True) else "-"
-        entries.append((c, sign))
-        xi = xi[p.rfind(desc.abc[0]) :]
-        ri = ri[len(desc.reg) - 2 :]
-    return Label(r, tuple(entries))
+    return Label(r, tuple(entry for entry, _ in _peel(x, r)))
 
 
 def labels_confusable(lx: Label, ly: Label) -> bool:
@@ -271,14 +274,7 @@ def labels_confusable(lx: Label, ly: Label) -> bool:
         return False
     if len(lx.entries) != len(ly.entries):
         raise ValueError("labels with equal roots must have the same number of regions")
-    for (cx, sx), (cy, sy) in zip(lx.entries, ly.entries):
-        if cx < cy:
-            if sx == "-":
-                return False
-        elif cx > cy:
-            if sy == "-":
-                return False
-    return True
+    return all(_entry_confusable(ex, ey) for ex, ey in zip(lx.entries, ly.entries))
 
 
 def confusable_by_labels(x: Word, y: Word) -> bool:
@@ -288,12 +284,7 @@ def confusable_by_labels(x: Word, y: Word) -> bool:
 
 def count_regions(r: Word) -> int:
     """Number of region-peeling rounds of an irreducible word ``r``."""
-    m = 0
-    while not _few_symbols(r):
-        desc = main_and_region(r)
-        r = r[len(desc.reg) - 2 :]
-        m += 1
-    return m
+    return sum(1 for _ in _regions(r))
 
 
 @dataclass(frozen=True)

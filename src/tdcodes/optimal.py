@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .words import Word
 from .confusability import Label, compute_label, labels_confusable
-from .oracle import enumerate_labels, canonical_form
+from .oracle import _walk, enumerate_labels, canonical_form
 
 __all__ = [
     "LabelGraph",
@@ -141,16 +141,19 @@ class SizeCache:
 
     def _load(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                root_text, n_text, size_text, witness_text = line.split("\t")
-                root = bytes(int(ch) for ch in root_text)
-                witness = tuple(
-                    Label.parse(piece) for piece in witness_text.split(";") if piece
-                )
-                self._mem[(root, int(n_text))] = (int(size_text), witness)
+                try:
+                    root_text, n_text, size_text, witness_text = line.split("\t")
+                    root = bytes(int(ch) for ch in root_text)
+                    witness = tuple(
+                        Label.parse(piece) for piece in witness_text.split(";") if piece
+                    )
+                    self._mem[(root, int(n_text))] = (int(size_text), witness)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed size-cache line: {exc}") from exc
 
     def get(self, root: Word, n: int):
         return self._mem.get((root, n))
@@ -175,23 +178,6 @@ class SizeCache:
         return len(self._mem)
 
 
-def _iter_canonical_words(n: int, q: int = 3):
-    # words whose symbols appear in first-occurrence order; exactly one
-    # representative per relabeling orbit
-    prefix = bytearray()
-
-    def rec(used: int):
-        if len(prefix) == n:
-            yield bytes(prefix)
-            return
-        for s in range(min(used + 1, q)):
-            prefix.append(s)
-            yield from rec(max(used, s + 1))
-            del prefix[-1:]
-
-    yield from rec(0)
-
-
 def labels_by_root(n: int, q: int = 3) -> dict[Word, set[Label]]:
     """Labels of every canonical length-``n`` word, grouped by its root.
 
@@ -200,7 +186,8 @@ def labels_by_root(n: int, q: int = 3) -> dict[Word, set[Label]]:
     set at this length.
     """
     buckets: dict[Word, set[Label]] = {}
-    for w in _iter_canonical_words(n, q):
+    # canonical words: symbols first occur in the order 0, 1, 2
+    for w in _walk(n, n, q, 0, canonical=True):
         label = compute_label(w)
         buckets.setdefault(label.root, set()).add(label)
     return buckets

@@ -27,11 +27,12 @@ __all__ = [
 
 
 def _extensions(prefix: bytearray, q: int, k: int) -> Iterator[int]:
-    # symbols that keep the prefix free of duplicates vv with |v| <= k;
-    # only duplicates ending at the new position need checking
+    # symbols that keep the prefix free of duplicates vv with |v| <= k
+    # (k = 0 allows every symbol); only duplicates ending at the new
+    # position need checking, and they reach back at most 2k - 1 symbols
     n = len(prefix)
     for s in range(q):
-        if n >= 1 and prefix[-1] == s:
+        if k >= 1 and n >= 1 and prefix[-1] == s:
             continue
         if k >= 2 and n >= 3 and prefix[-2] == s and prefix[-3] == prefix[-1]:
             continue
@@ -44,6 +45,26 @@ def _extensions(prefix: bytearray, q: int, k: int) -> Iterator[int]:
         ):
             continue
         yield s
+
+
+def _walk(n_min: int, n_max: int, q: int, k: int, canonical: bool = False) -> Iterator[Word]:
+    # depth-first over the words free of duplicates vv with |v| <= k, each
+    # yielded before its extensions once its length reaches n_min (>= 1);
+    # ``canonical`` keeps only words whose symbols first occur in the order
+    # 0, 1, 2, ..., one per relabeling orbit
+    prefix = bytearray()
+
+    def rec(used: int) -> Iterator[Word]:
+        if len(prefix) >= n_min:
+            yield bytes(prefix)
+        if len(prefix) == n_max:
+            return
+        for s in _extensions(prefix, min(used + 1, q) if canonical else q, k):
+            prefix.append(s)
+            yield from rec(max(used, s + 1))
+            del prefix[-1:]
+
+    yield from rec(0)
 
 
 def enumerate_irreducible(n: int, q: int = 3, k: int = 3) -> Iterator[Word]:
@@ -59,37 +80,29 @@ def enumerate_irreducible(n: int, q: int = 3, k: int = 3) -> Iterator[Word]:
         raise ValueError(f"alphabet size must be at least 2, got {q}")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1..3, got {k}")
-    prefix = bytearray()
-
-    def rec() -> Iterator[Word]:
-        if len(prefix) == n:
-            yield bytes(prefix)
-            return
-        for s in _extensions(prefix, q, k):
-            prefix.append(s)
-            yield from rec()
-            del prefix[-1:]
-
-    yield from rec()
+    return _walk(n, n, q, k)
 
 
 def irreducible_counts(n_max: int, q: int = 3, k: int = 3) -> list[int]:
-    """Counts of irreducible words per length ``1..n_max`` (index 0 unused)."""
+    """Counts of irreducible words per length ``1..n_max`` (index 0 unused).
+
+    Whether a symbol extends an irreducible word depends only on its last
+    ``2k - 1`` symbols, so the count runs over those tails instead of
+    over the words.
+    """
+    if k not in (1, 2, 3):
+        raise ValueError(f"k must be 1..3, got {k}")
+    keep = 2 * k - 1
     counts = [0] * (n_max + 1)
-    prefix = bytearray()
-
-    def rec() -> None:
-        depth = len(prefix)
-        if depth:
-            counts[depth] += 1
-        if depth == n_max:
-            return
-        for s in _extensions(prefix, q, k):
-            prefix.append(s)
-            rec()
-            del prefix[-1:]
-
-    rec()
+    tails: dict[bytes, int] = {b"": 1}
+    for length in range(1, n_max + 1):
+        grown: dict[bytes, int] = {}
+        for tail, ways in tails.items():
+            for s in _extensions(tail, q, k):
+                key = (tail + bytes((s,)))[-keep:]
+                grown[key] = grown.get(key, 0) + ways
+        tails = grown
+        counts[length] = sum(tails.values())
     return counts
 
 

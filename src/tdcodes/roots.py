@@ -9,12 +9,9 @@ root of the consumed prefix on a stack.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .words import Word
 
 __all__ = [
-    "StreamingRoot",
     "root_le_k",
     "root_le2",
     "root_le3",
@@ -41,30 +38,21 @@ def root_le_k(x: Word, k: int) -> Word:
                 out.append(s)
                 last = s
         return bytes(out)
-    st = bytearray()
-    if k == 2:
-        for s in x:
-            n = len(st)
-            if n and st[-1] == s:
-                continue
-            if n >= 3 and st[-2] == s and st[-3] == st[-1]:
-                del st[-1:]
-                continue
-            st.append(s)
-    elif k == 3:
-        for s in x:
-            n = len(st)
-            if n and st[-1] == s:
-                continue
-            if n >= 3 and st[-2] == s and st[-3] == st[-1]:
-                del st[-1:]
-                continue
-            if n >= 5 and st[-3] == s and st[-4] == st[-1] and st[-5] == st[-2]:
-                del st[-2:]
-                continue
-            st.append(s)
-    else:
+    if k not in (2, 3):
         raise ValueError(f"roots under length-at-most-k deduplication need k in 1..3, got {k}")
+    three = k == 3
+    st = bytearray()
+    for s in x:
+        n = len(st)
+        if n and st[-1] == s:
+            continue
+        if n >= 3 and st[-2] == s and st[-3] == st[-1]:
+            del st[-1:]
+            continue
+        if three and n >= 5 and st[-3] == s and st[-4] == st[-1] and st[-5] == st[-2]:
+            del st[-2:]
+            continue
+        st.append(s)
     return bytes(st)
 
 
@@ -88,54 +76,6 @@ def root_exact_k(x: Word, k: int) -> Word:
         if len(st) >= 2 * k and st[-k:] == st[-2 * k : -k]:
             del st[-k:]
     return bytes(st)
-
-
-class StreamingRoot:
-    """Incrementally maintains the root of the symbols consumed so far.
-
-    The stack is the unique le-k root of the consumed prefix.  It never
-    holds a suffix duplicate of length <= 2k once a push completes.
-    """
-
-    __slots__ = ("k", "_stack")
-
-    def __init__(self, k: int, symbols: Iterable[int] = ()):  # k = 1, 2 or 3
-        if k not in (1, 2, 3):
-            raise ValueError(f"streaming roots support k in 1..3, got {k}")
-        self.k = k
-        self._stack = bytearray()
-        for s in symbols:
-            self.push(s)
-
-    def push(self, s: int) -> None:
-        st = self._stack
-        n = len(st)
-        if n and st[-1] == s:
-            return
-        k = self.k
-        if k >= 2 and n >= 3 and st[-2] == s and st[-3] == st[-1]:
-            del st[-1:]
-            return
-        if k == 3 and n >= 5 and st[-3] == s and st[-4] == st[-1] and st[-5] == st[-2]:
-            del st[-2:]
-            return
-        st.append(s)
-
-    def extend(self, symbols: Iterable[int]) -> None:
-        for s in symbols:
-            self.push(s)
-
-    @property
-    def root(self) -> Word:
-        return bytes(self._stack)
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-    def matches(self, pattern: Word) -> bool:
-        # pattern lengths in practice are at most 6, so this is O(1)
-        st = self._stack
-        return len(st) == len(pattern) and st == pattern
 
 
 def confusable_by_roots(x: Word, y: Word, kind) -> bool:

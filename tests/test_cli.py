@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,25 @@ def test_deterministic_output(capsys):
 def test_verify_fixtures_small():
     report = verify_fixtures(n_max=10)
     assert all(ok for _, ok, _ in report), report
+
+
+def test_verify_without_asserts(tmp_path):
+    # no result may depend on assert statements, which python -O strips
+    import tdcodes
+
+    src = Path(tdcodes.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tdcodes.cli", "verify"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().splitlines()
+    assert rows and all(row.startswith("PASS\t") for row in rows), rows
 
 
 def test_json_code_roundtrip(capsys):

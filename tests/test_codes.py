@@ -132,6 +132,9 @@ def test_recursive_code_every_canonical_root_to_len8():
                 code = recursive_code(canon, target)
                 assert len(code) == recursive_size(canon, target)
                 assert validate_code(code, full=True), (canon, target)
+            # long enough for sizes above 2 on every multi-region root
+            target = n + 13
+            assert len(recursive_code(canon, target)) == recursive_size(canon, target)
 
 
 def test_recursive_size_properties():

@@ -177,6 +177,11 @@ def test_label_text_roundtrip():
     for word in ("01210210", "01112110", "000", "012"):
         label = compute_label(w(word))
         assert Label.parse(label.text()) == label
+    # symbols of two or more digits switch the root to comma-separated form
+    for symbols in ((10, 11, 12, 11, 10, 12), (12, 12), (3, 12, 3), (0, 255, 1, 255, 2)):
+        label = compute_label(bytes(symbols))
+        assert Label.parse(label.text()) == label
+    assert compute_label(bytes((10, 11, 12, 11, 10, 12))).text() == "10,11,12,11,10,12:(1,+)(1,+)"
 
 
 def test_labels_confusable():
@@ -203,6 +208,41 @@ def test_count_regions_matches_label_length(rng):
         root = root_le3(random_ternary(rng, rng.randint(1, 10)))
         _, x = random_descendant_steps(rng, root, rng.randint(0, 5))
         assert len(compute_label(x).entries) == count_regions(root)
+
+
+def test_peeled_suffixes_keep_the_peeled_root(monkeypatch, rng):
+    # every round of the peel continues on a suffix of the word whose root
+    # is the root minus the regions peeled so far, on the decision route
+    # (two words peeled in lockstep) and on the label route
+    from tdcodes import confusability
+
+    calls = []
+
+    def spy(desc, x):
+        calls.append((desc, x))
+        return extended_prefix(desc, x)
+
+    monkeypatch.setattr(confusability, "extended_prefix", spy)
+
+    def check(rounds, r):
+        offset = 0
+        for desc, x in rounds:
+            assert root_le3(x) == r[offset:]
+            assert r[offset:].startswith(desc.reg)
+            offset += len(desc.reg) - 2
+
+    for _ in range(300):
+        root = root_le3(random_ternary(rng, rng.randint(3, 14)))
+        _, x = random_descendant_steps(rng, root, rng.randint(0, 6))
+        _, y = random_descendant_steps(rng, root, rng.randint(0, 6))
+        calls.clear()
+        compute_label(x)
+        assert len(calls) == count_regions(root)
+        check(calls, root)
+        calls.clear()
+        confusable(x, y)
+        check(calls[0::2], root)
+        check(calls[1::2], root)
 
 
 def test_label_route_agrees_with_decision(rng):

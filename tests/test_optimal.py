@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -177,6 +178,17 @@ def test_cache_path_from_environment(tmp_path, monkeypatch):
     assert path.exists()
     monkeypatch.delenv("TDCODES_CACHE")
     assert SizeCache(str(path)).get(w("012"), 7) == cache.get(w("012"), 7)
+
+
+def test_size_cache_reports_malformed_line(tmp_path, capsys):
+    from tdcodes.cli import main
+
+    path = tmp_path / "cache.tsv"
+    path.write_text("012\t9\t2\t012:(1,-);012:(2,+)\n012\t7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed size-cache line")):
+        SizeCache(str(path))
+    assert main(["--cache", str(path), "optimal", "--n", "4"]) == 2
+    assert f"error: {path}:2: malformed size-cache line" in capsys.readouterr().err
 
 
 def test_non_irreducible_root_rejected():

@@ -32,11 +32,11 @@ def test_enumerate_matches_filter_oracle():
 
 
 def test_irreducible_counts_match_enumeration():
-    counts3 = irreducible_counts(12, 3, 3)
-    counts2 = irreducible_counts(12, 3, 2)
-    for n in range(1, 13):
-        assert counts3[n] == sum(1 for _ in enumerate_irreducible(n, 3, 3))
-        assert counts2[n] == sum(1 for _ in enumerate_irreducible(n, 3, 2))
+    for q, n_max in ((2, 10), (3, 12), (4, 8)):
+        for k in (1, 2, 3):
+            counts = irreducible_counts(n_max, q, k)
+            for n in range(1, n_max + 1):
+                assert counts[n] == sum(1 for _ in enumerate_irreducible(n, q, k)), (q, k, n)
 
 
 def test_descendant_cone_examples():

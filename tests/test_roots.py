@@ -1,7 +1,6 @@
 import pytest
 
 from tdcodes import (
-    StreamingRoot,
     confusable_by_roots,
     descendant_cone,
     is_irreducible,
@@ -67,31 +66,6 @@ def test_root_uniqueness_all_removal_orders():
                 assert len(candidates) == 1, (x, k, candidates)
                 roots[x] = candidates.pop()
             assert roots[x] == root_le_k(x, k)
-
-
-def test_streaming_examples():
-    state = StreamingRoot(2, w("012"))
-    state.push(1)
-    state.push(2)
-    assert state.root == w("012")
-    state = StreamingRoot(3, w("01201"))
-    state.push(2)
-    assert state.root == w("012")
-    state = StreamingRoot(1, w("0"))
-    state.push(0)
-    assert state.root == w("0")
-
-
-def test_streaming_matches_batch(rng):
-    for _ in range(400):
-        x = random_ternary(rng, rng.randint(1, 24))
-        for k in (1, 2, 3):
-            state = StreamingRoot(k)
-            for s in x:
-                state.push(s)
-                assert is_irreducible(state.root, k)
-            assert state.root == root_le_k(x, k)
-            assert state.matches(root_le_k(x, k))
 
 
 def test_idempotence_and_duplication_invariance(rng):
