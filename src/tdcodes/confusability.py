@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .words import Word, check_word, tandem_duplicate
-from .roots import root_le_k, root_le3
+from .roots import root_le_k, root_le3_depths
 
 __all__ = [
     "NoRegionError",
@@ -112,7 +112,9 @@ def extended_prefix(desc: RegionDescriptor, x: Word) -> Word:
     region (the region is irreducible and roots are unique), so the scan
     streams the root of each prefix and keeps the last position where the
     stack equals the region.  Matches can recur arbitrarily late, so the
-    scan covers the whole word.
+    scan covers the whole word.  The decision finds the same prefix by a
+    lookup in the depth table of its single root pass (see ``_peel``);
+    this scan is the reference it is tested against.
     """
     reg = desc.reg
     d = len(reg)
@@ -164,24 +166,52 @@ def count_occurrences(t: Word, x: Word, rotations: bool = False) -> int:
 def _regions(r: Word) -> Iterator[RegionDescriptor]:
     # the first region of the root and of every suffix left after peeling
     # it; an irreducible word of length >= 4 always has >= 3 distinct
-    # symbols, so the first four positions decide when peeling stops
-    while len(set(r[:4])) >= 3:
-        desc = main_and_region(r)
+    # symbols, so the first four positions decide when peeling stops, and
+    # the parse reads at most six
+    offset = 0
+    while len(set(r[offset : offset + 4])) >= 3:
+        desc = main_and_region(r[offset : offset + 6])
         yield desc
-        r = r[len(desc.reg) - 2 :]
+        offset += len(desc.reg) - 2
 
 
-def _peel(x: Word, r: Word) -> Iterator[tuple[tuple[int, str], int]]:
-    # ((count, sign), generated-prefix length) per region of the root r of
-    # x; each round continues on the suffix of x from the last a of the
-    # generated prefix, whose root is the peeled suffix of r
+def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
+    # ((count, sign), start, end) per region of the root r of x, where
+    # last is the depth table of x (roots.root_le3_depths).  x[start:end] is
+    # the longest prefix of x[start:] generated from the region, and the
+    # next round starts at the last a of it.  With T = r[:offset] the part
+    # of the root that earlier rounds peeled off (each region minus its
+    # last two symbols), the round ends at last[len(T) + len(reg)].
+    #
+    # Write S(j) for the stack after x[:j] and D(j) for its depth.
+    # Round 1 (T empty, d = len(reg)): pushes add one symbol and the final
+    # depth is len(r) >= d, so after j1 = last[d] the depth never returns
+    # to d and never drops below it; the bottom d symbols of the stack are
+    # then fixed and equal r[:d] = reg.  Hence root(x[:j1]) = reg and no
+    # longer prefix has root reg.
+    # Later rounds: after reading s then t != s the stack ends in st, so
+    # as S(j1) = T + ab (now T = r[:d - 2]), x[:j1] ends in a b^m; the next
+    # round starts at i = j1 - m - 1, and root(x[i:j1]) = ab.  For j >= j1
+    # the stack S'(j - i) of x[i:] then stays on top of T: S(j) = T +
+    # S'(j - i).  Both stacks see the same top symbols; the stack of x
+    # looks below S' only while len(S') < 5, and any removal it found there
+    # would leave D(j + 1) <= len(T) + 2 = d, which cannot happen after j1.
+    # So root(x[i:]) = r[len(T):], and from j1 on, where len(S') = 2, the
+    # depths of x are those of x[i:] plus len(T).  The next region has at
+    # least three symbols, so the last visits to its depth in x and in
+    # x[i:] both fall after j1 and coincide; round 1 applied to x[i:] gives
+    # the round's end as last[len(T) + len(reg)], and by induction so on
+    # for every round.
+    start = offset = 0
     for desc in _regions(r):
+        end = last[offset + len(desc.reg)]
+        p = x[start:end]
         main = desc.main
-        p = extended_prefix(desc, x)
         count = count_occurrences(main, root_le_k(p, 2))
         sign = "+" if count_occurrences(main, p, rotations=True) else "-"
-        yield (count, sign), len(p)
-        x = x[p.rfind(desc.abc[0]) :]
+        yield (count, sign), start, end
+        start += p.rfind(desc.abc[0])
+        offset += len(desc.reg) - 2
 
 
 def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
@@ -192,19 +222,23 @@ def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
 
 
 def confusable_with_cost(x: Word, y: Word) -> tuple[bool, int]:
-    """Like :func:`confusable` but also returns the summed prefix lengths.
+    """Like :func:`confusable` but also returns the symbols read per region.
 
-    The second value accumulates ``len(p) + len(q)`` over every peeling
-    round; it is bounded by three times the combined input length.
+    The decision makes one root pass over each word; every peeling round
+    then reads only the generated prefixes ``p`` and ``q`` of its region.
+    The second value sums ``len(p) + len(q)`` over the rounds run, on top
+    of that single root pass; it is bounded by three times the combined
+    input length.
     """
     check_word(x)
     check_word(y)
-    r = root_le3(x)
-    if r != root_le3(y):
+    r, last_x = root_le3_depths(x)
+    ry, last_y = root_le3_depths(y)
+    if r != ry:
         return False, 0
     cost = 0
-    for (ex, px), (ey, py) in zip(_peel(x, r), _peel(y, r)):
-        cost += px + py
+    for (ex, x0, x1), (ey, y0, y1) in zip(_peel(x, r, last_x), _peel(y, r, last_y)):
+        cost += x1 - x0 + y1 - y0
         if not _entry_confusable(ex, ey):
             return False, cost
     return True, cost
@@ -259,8 +293,8 @@ class Label:
 def compute_label(x: Word) -> Label:
     """Compute the label of ``x`` by peeling its root region by region."""
     check_word(x)
-    r = root_le3(x)
-    return Label(r, tuple(entry for entry, _ in _peel(x, r)))
+    r, last = root_le3_depths(x)
+    return Label(r, tuple(entry for entry, _, _ in _peel(x, r, last)))
 
 
 def labels_confusable(lx: Label, ly: Label) -> bool:
@@ -384,5 +418,6 @@ def normalize_trace(trace: DuplicationTrace) -> DuplicationTrace:
         if not changed:
             break
     out = DuplicationTrace(trace.start, tuple(steps))
-    assert out.replay() == trace.replay()
+    if out.replay() != trace.replay():
+        raise RuntimeError("trace normalization changed the final word")
     return out

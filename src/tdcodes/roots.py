@@ -15,19 +15,14 @@ __all__ = [
     "root_le_k",
     "root_le2",
     "root_le3",
+    "root_le3_depths",
     "root_exact_k",
     "confusable_by_roots",
 ]
 
 
 def root_le_k(x: Word, k: int) -> Word:
-    """Return the unique root of ``x`` under deduplications of length <= k.
-
-    A pushed symbol can only complete a duplicate that ends at the top of
-    the stack, and removing that duplicate leaves a prefix of the previous
-    stack, which is already irreducible; so at most one removal per symbol
-    is ever needed.
-    """
+    """Return the unique root of ``x`` under deduplications of length <= k."""
     if len(x) == 0:
         raise ValueError("empty word has no root")
     if k == 1:
@@ -40,20 +35,44 @@ def root_le_k(x: Word, k: int) -> Word:
         return bytes(out)
     if k not in (2, 3):
         raise ValueError(f"roots under length-at-most-k deduplication need k in 1..3, got {k}")
-    three = k == 3
+    return _stack(x, k == 3)[0]
+
+
+def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
+    """Return the le-3 root of ``x`` and its depth table ``last``.
+
+    ``last[d]`` is the end of the last prefix of ``x`` whose root has ``d``
+    symbols, for every ``d`` from 0 to the deepest the stack ever got.
+    """
+    if len(x) == 0:
+        raise ValueError("empty word has no root")
+    return _stack(x, True)
+
+
+def _stack(x: Word, three: bool) -> tuple[Word, list[int]]:
+    # the stack holds the root of the prefix read so far.  A pushed symbol
+    # can only complete a duplicate that ends at the top of the stack, and
+    # removing that duplicate leaves a prefix of the previous stack, which
+    # is already irreducible; so at most one removal per symbol is needed.
+    # Every branch but the first changes the depth, so x[:i] is the last
+    # prefix at the old depth n exactly when one of them runs at symbol i.
     st = bytearray()
-    for s in x:
+    last = [0]
+    for i, s in enumerate(x):
         n = len(st)
         if n and st[-1] == s:
             continue
+        last[n] = i
         if n >= 3 and st[-2] == s and st[-3] == st[-1]:
             del st[-1:]
-            continue
-        if three and n >= 5 and st[-3] == s and st[-4] == st[-1] and st[-5] == st[-2]:
+        elif three and n >= 5 and st[-3] == s and st[-4] == st[-1] and st[-5] == st[-2]:
             del st[-2:]
-            continue
-        st.append(s)
-    return bytes(st)
+        else:
+            st.append(s)
+            if n + 1 == len(last):
+                last.append(0)
+    last[len(st)] = len(x)
+    return bytes(st), last
 
 
 def root_le2(x: Word) -> Word:

@@ -3,7 +3,8 @@
 A word is an immutable ``bytes`` value whose byte values are the symbols
 (integers ``0 .. q-1``).  The text form is a plain digit string for
 alphabets of at most ten symbols ("01210") and a comma-separated list of
-integers beyond that ("0,1,2,10").  The empty word is rejected by every
+integers beyond that ("0,1,2,10"), where a comma-free string is a
+one-symbol word ("12").  The empty word is rejected by every
 public entry point; it only ever appears as an internal intermediate.
 """
 
@@ -41,10 +42,13 @@ def parse_word(text: str, q: int = 3) -> Word:
         raise ValueError("empty word")
     if "," in text:
         symbols = [int(part) for part in text.split(",")]
+    elif not text.isdigit():
+        raise ValueError(f"not a digit string: {text!r}")
     elif q <= 10:
-        if not text.isdigit():
-            raise ValueError(f"not a digit string: {text!r}")
         symbols = [int(ch) for ch in text]
+    elif text == str(int(text)):
+        # render_word writes a one-symbol word over q > 10 without a comma
+        symbols = [int(text)]
     else:
         raise ValueError(f"alphabet size {q} needs comma-separated symbols")
     for s in symbols:

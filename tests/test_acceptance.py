@@ -437,7 +437,64 @@ def _batched_descendant(rng: random.Random, root: bytes, target: int) -> bytes:
     return bytes(word)
 
 
-def test_criterion_8_near_linear_time():
+def _spy_symbols(monkeypatch, totals: list) -> None:
+    # wrap the root-stack and scan functions the decision calls, under every
+    # name that refers to them in any tdcodes module, and add up the length
+    # of the word each call is handed
+    import sys
+
+    spied = (
+        ("roots", "root_le_k", 0),
+        ("roots", "root_le3_depths", 0),
+        ("confusability", "extended_prefix", 1),
+    )
+    for layer, attr, index in spied:
+        fn = getattr(sys.modules[f"tdcodes.{layer}"], attr)
+
+        def wrapper(*args, _fn=fn, _index=index):
+            totals[0] += len(args[_index])
+            return _fn(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "tdcodes" or modname.startswith("tdcodes."):
+                for name, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, name, wrapper)
+
+
+def _long_root_symbol_ratios(monkeypatch) -> list[tuple[int, float]]:
+    # descendants of random roots of 2k-16k symbols, each against a one-step
+    # descendant of itself (confusable, so every region is peeled) and
+    # against another descendant of the same root
+    rng = random.Random(8)
+    pairs = []
+    for length in (2000, 4000, 8000, 16000):
+        while True:
+            root = td.root_le3(bytes(rng.randrange(3) for _ in range(4 * length + 20)))[:length]
+            if len(root) == length:
+                break
+        a = _batched_descendant(rng, root, 2 * length)
+        b = _batched_descendant(rng, root, 2 * length)
+        k = rng.randint(1, 3)
+        i = rng.randrange(len(a) - k)
+        pairs.append((length, (a, td.tandem_duplicate(a, i, k))))
+        pairs.append((length, (a, b)))
+    totals = [0]
+    _spy_symbols(monkeypatch, totals)
+    ratios = []
+    for length, (x, y) in pairs:
+        totals[0] = 0
+        td.confusable(x, y)
+        ratios.append((length, totals[0] / (len(x) + len(y))))
+    monkeypatch.undo()
+    return ratios
+
+
+def test_criterion_8_near_linear_time(monkeypatch):
+    # deterministic part: on long roots the root-stack and scan functions
+    # are handed at most 4 (|x| + |y|) symbols per decision, exactly
+    symbol_ratios = _long_root_symbol_ratios(monkeypatch)
+    symbols_ok = all(ratio <= 4 for _, ratio in symbol_ratios)
     rng = random.Random(123)
     shared = td.root_le3(bytes(rng.randrange(3) for _ in range(16)))
     other = td.root_le3(bytes(rng.randrange(3) for _ in range(15)))
@@ -475,10 +532,12 @@ def test_criterion_8_near_linear_time():
     ratios = [
         medians[i + 1][1] / medians[i][1] for i in range(len(medians) - 1)
     ]
-    ok = all(r <= 2.5 for r in ratios)
+    ok = symbols_ok and all(r <= 2.5 for r in ratios)
     detail = ", ".join(f"{s // 1000}k:{t * 1000:.1f}ms" for s, t in medians)
+    symbols = ", ".join(f"{n // 1000}k:{ratio:.2f}" for n, ratio in symbol_ratios)
     report(
         "8 near-linear-confusability",
         ok,
-        f"median of 5 runs per size, worst doubling ratio {max(ratios):.2f} <= 2.5 [{detail}]",
+        f"median of 5 runs per size, worst doubling ratio {max(ratios):.2f} <= 2.5 [{detail}]; "
+        f"long-root symbols handed per input symbol <= 4 [{symbols}]",
     )

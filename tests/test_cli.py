@@ -23,6 +23,12 @@ def test_root_command(capsys):
     code, out, _ = run(capsys, "root", "012012", "--k", "2")
     assert code == 0 and out.strip() == "012012"
 
+    # a one-symbol root over q > 10 prints without a comma and reads back
+    code, out, _ = run(capsys, "--q", "13", "root", "12,12")
+    assert code == 0 and out.strip() == "12"
+    code, out, _ = run(capsys, "--q", "13", "root", out.strip())
+    assert code == 0 and out.strip() == "12"
+
 
 def test_confuse_command(capsys):
     code, out, _ = run(capsys, "confuse", "012012", "011112")
@@ -142,6 +148,26 @@ def test_verify_without_asserts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.strip().splitlines()
     assert rows and all(row.startswith("PASS\t") for row in rows), rows
+    # normalize_trace still checks its result under -O: a swap rule that
+    # forgets to shift indices must raise instead of returning a bad trace
+    broken = (
+        "from tdcodes import confusability as c\n"
+        "c._swap_steps = lambda i1, k1, i2, k2: [(i2, k2), (i1, k1)]\n"
+        "try:\n"
+        "    c.normalize_trace(c.DuplicationTrace(bytes((0, 1, 2)), ((0, 1), (0, 3))))\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", broken],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised"), proc.stdout
 
 
 def test_json_code_roundtrip(capsys):

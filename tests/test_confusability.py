@@ -1,7 +1,10 @@
 import itertools
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcodes import (
     DuplicationTrace,
@@ -20,12 +23,20 @@ from tdcodes import (
     labels_confusable,
     main_and_region,
     normalize_trace,
+    root_le2,
     root_le3,
     tandem_duplicate,
 )
-from tdcodes.confusability import _expand_step, _swap_steps
+from tdcodes.confusability import _expand_step, _peel, _regions, _swap_steps
+from tdcodes.roots import root_le3_depths
 
-from conftest import random_descendant_steps, random_ternary, w
+from conftest import (
+    iter_canonical_ternary,
+    iter_ternary_words,
+    random_descendant_steps,
+    random_ternary,
+    w,
+)
 
 
 def test_main_and_region_examples():
@@ -210,26 +221,43 @@ def test_count_regions_matches_label_length(rng):
         assert len(compute_label(x).entries) == count_regions(root)
 
 
+def _check_rounds(x, r, rounds):
+    # every round's prefix, found by lookup in the depth table, is the one
+    # the reference scan extended_prefix finds in the suffix the round
+    # starts; that suffix keeps the root minus the regions peeled so far,
+    # and the next round starts at the last a of the prefix
+    start = offset = 0
+    for (_, begin, end), desc in zip(rounds, _regions(r)):
+        assert begin == start
+        suffix = x[start:]
+        assert root_le3(suffix) == r[offset:]
+        assert r[offset:].startswith(desc.reg)
+        p = extended_prefix(desc, suffix)
+        assert x[start:end] == p
+        start += p.rfind(desc.abc[0])
+        offset += len(desc.reg) - 2
+
+
 def test_peeled_suffixes_keep_the_peeled_root(monkeypatch, rng):
-    # every round of the peel continues on a suffix of the word whose root
-    # is the root minus the regions peeled so far, on the decision route
-    # (two words peeled in lockstep) and on the label route
+    # on the decision route (two words peeled in lockstep) and on the label
+    # route, every round _peel yields agrees with the reference scan
     from tdcodes import confusability
 
+    peel = confusability._peel
     calls = []
 
-    def spy(desc, x):
-        calls.append((desc, x))
-        return extended_prefix(desc, x)
+    def spy(x, r, last):
+        rounds = []
+        calls.append((x, r, rounds))
 
-    monkeypatch.setattr(confusability, "extended_prefix", spy)
+        def recorded():
+            for item in peel(x, r, last):
+                rounds.append(item)
+                yield item
 
-    def check(rounds, r):
-        offset = 0
-        for desc, x in rounds:
-            assert root_le3(x) == r[offset:]
-            assert r[offset:].startswith(desc.reg)
-            offset += len(desc.reg) - 2
+        return recorded()
+
+    monkeypatch.setattr(confusability, "_peel", spy)
 
     for _ in range(300):
         root = root_le3(random_ternary(rng, rng.randint(3, 14)))
@@ -237,12 +265,69 @@ def test_peeled_suffixes_keep_the_peeled_root(monkeypatch, rng):
         _, y = random_descendant_steps(rng, root, rng.randint(0, 6))
         calls.clear()
         compute_label(x)
-        assert len(calls) == count_regions(root)
-        check(calls, root)
+        assert [(cx, cr) for cx, cr, _ in calls] == [(x, root)]
+        assert len(calls[0][2]) == count_regions(root)
+        _check_rounds(*calls[0])
         calls.clear()
-        confusable(x, y)
-        check(calls[0::2], root)
-        check(calls[1::2], root)
+        verdict = confusable(x, y)
+        assert [(cx, cr) for cx, cr, _ in calls] == [(x, root), (y, root)]
+        if verdict:
+            assert len(calls[0][2]) == len(calls[1][2]) == count_regions(root)
+        for call in calls:
+            _check_rounds(*call)
+
+
+def _reference_peel(x):
+    # the per-region rescan the depth table replaces: each round scans the
+    # whole remaining word and continues on a re-sliced suffix
+    r = root_le3(x)
+    out = []
+    start = 0
+    while len(set(r[:4])) >= 3:
+        desc = main_and_region(r)
+        p = extended_prefix(desc, x[start:])
+        count = count_occurrences(desc.main, root_le2(p))
+        sign = "+" if count_occurrences(desc.main, p, rotations=True) else "-"
+        out.append(((count, sign), start, start + len(p)))
+        start += p.rfind(desc.abc[0])
+        r = r[len(desc.reg) - 2 :]
+    return out
+
+
+def _table_peel(x):
+    r, last = root_le3_depths(x)
+    return list(_peel(x, r, last))
+
+
+def test_depth_table_matches_scan_exhaustive():
+    # every ternary word of length <= 11
+    for word in iter_ternary_words(1, 11):
+        assert _table_peel(word) == _reference_peel(word), word
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="deeper exhaustive tier; set TDCODES_STRETCH=1"
+)
+def test_stretch_depth_table_matches_scan_len14():
+    # every ternary word of length <= 14 up to relabeling: the root stack,
+    # the region parse and the scan all commute with permuting symbols
+    for word in iter_canonical_ternary(1, 14):
+        assert _table_peel(word) == _reference_peel(word), word
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_depth_table_matches_scan_on_random_descendants(data):
+    q = data.draw(st.integers(3, 5), label="q")
+    seed = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=180), label="seed")
+    root = root_le3(bytes(seed))[:60]
+    x = root
+    for _ in range(data.draw(st.integers(0, 12), label="steps")):
+        k = data.draw(st.integers(1, min(3, len(x))), label="k")
+        i = data.draw(st.integers(0, len(x) - k), label="i")
+        x = tandem_duplicate(x, i, k)
+    assert root_le3(x) == root
+    assert _table_peel(x) == _reference_peel(x)
 
 
 def test_label_route_agrees_with_decision(rng):

@@ -20,6 +20,18 @@ def test_parse_render_roundtrip():
     assert render_word(bytes((0, 1, 2, 10)), q=11) == "0,1,2,10"
 
 
+def test_parse_render_roundtrip_large_alphabets():
+    # over q > 10 a one-symbol word renders without a comma and must parse back
+    for q in (11, 13, 256):
+        for word in (bytes((q - 1,)), bytes((0,)), bytes((q - 1, q - 1)), bytes((0, q - 1, 1))):
+            assert parse_word(render_word(word, q), q) == word
+    assert render_word(bytes((12,)), 13) == "12"
+    with pytest.raises(ValueError):
+        parse_word("012", q=13)  # a leading zero is no rendering of one symbol
+    with pytest.raises(ValueError):
+        parse_word("13", q=13)
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_word("")
