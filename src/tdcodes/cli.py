@@ -258,8 +258,7 @@ def _build_code(args, q):
     if args.construction == "assemble":
         if args.n is None:
             raise ValueError("code assemble needs --n")
-        cache = SizeCache(args.cache)
-        size, code = assemble_lower_bound(args.n, cache=cache, materialize=True)
+        _, code = assemble_lower_bound(args.n, cache=SizeCache(args.cache))
         return code
     if args.root is None:
         raise ValueError(f"code {args.construction} needs --root")

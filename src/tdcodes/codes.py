@@ -17,6 +17,7 @@ from itertools import islice, permutations
 from .words import Word, check_word, is_irreducible, pad_tail, render_word, parse_word
 from .confusability import _regions, confusable, main_and_region
 from .oracle import _walk, enumerate_irreducible, canonical_form
+from .roots import root_le3
 
 __all__ = [
     "Code",
@@ -98,51 +99,29 @@ def pair_code(r: Word) -> Code:
 
 
 # One-region roots, normalized so the distinct triple of the first region
-# is 012.  Every one-region root is an injective relabeling of one of these.
-ONE_REGION_PATTERNS: tuple[Word, ...] = tuple(
-    bytes(int(ch) for ch in pat)
-    for pat in (
-        "012",
-        "0120",
-        "01201",
-        "0121",
-        "01202",
-        "012010",
-        "1012",
-        "10120",
-        "101201",
-        "10121",
-        "101202",
-        "1012010",
-    )
-)
-
+# is 012; every one-region root is an injective relabeling of one of these.
 # pattern -> (head of the minus-sign family, its tail, head of the plus-sign
 # family, its tail); the families are head + "112200"*(l-1) + tail and
-# head + "012"*l + tail respectively
+# head + "012"*l + tail respectively, and the patterns with a leading 1
+# carry it on both heads
 _X_BLOCK = bytes((1, 1, 2, 2, 0, 0))
 _Z_BLOCK = bytes((0, 1, 2))
-_ONE_REGION_TABLE: dict[Word, tuple[Word, Word, Word, Word]] = {}
-
-
-def _fill_one_region_table() -> None:
-    tails = {
-        "012": ("112", ""),
-        "0120": ("11220", "0"),
-        "01201": ("1122001", "01"),
-        "0121": ("1121", "1"),
-        "01202": ("112202", "02"),
-        "012010": ("11220010", "010"),
-    }
-    for base, (x_tail, z_tail) in tails.items():
-        key = bytes(int(ch) for ch in base)
-        xt = bytes(int(ch) for ch in x_tail)
-        zt = bytes(int(ch) for ch in z_tail)
-        _ONE_REGION_TABLE[key] = (b"\x00", xt, b"", zt)
-        _ONE_REGION_TABLE[b"\x01" + key] = (b"\x01\x00", xt, b"\x01", zt)
-
-
-_fill_one_region_table()
+_ONE_REGION_TAILS = {
+    "012": ("112", ""),
+    "0120": ("11220", "0"),
+    "01201": ("1122001", "01"),
+    "0121": ("1121", "1"),
+    "01202": ("112202", "02"),
+    "012010": ("11220010", "010"),
+}
+_ONE_REGION_TABLE: dict[Word, tuple[Word, Word, Word, Word]] = {
+    lead + bytes(map(int, base)): (
+        lead + b"\x00", bytes(map(int, x_tail)), lead, bytes(map(int, z_tail))
+    )
+    for lead in (b"", b"\x01")
+    for base, (x_tail, z_tail) in _ONE_REGION_TAILS.items()
+}
+ONE_REGION_PATTERNS: tuple[Word, ...] = tuple(_ONE_REGION_TABLE)
 
 
 def one_region_words(pattern: Word, ell: int) -> tuple[Word, Word]:
@@ -253,54 +232,53 @@ def _few_regions(r: Word) -> int:
     return sum(1 for _ in islice(_regions(r), 2))
 
 
-def _chain_values(r: Word, n_max: int, cache=None) -> dict[tuple[Word, int], int]:
-    # best known code size for (suffix of r, length), by the prefix
-    # recursion over the padded baseline; sizes for zero- and one-region
-    # suffixes come from their closed forms
+def _size_table(cache=None):
+    # value(rr, nn): best known code size for the canonical root rr at length
+    # nn, by the prefix recursion over the padded baseline, with closed forms
+    # for zero- and one-region roots.  The value does not depend on how rr is
+    # labeled: _few_regions, one_region_size and the (cut, drop,
+    # len(prefixes)) of _prefix_options depend only on which positions of rr
+    # hold equal symbols, and the size cache is keyed by canonical root.  So
+    # every root, suffix and reversal shares one memo, keyed by canonical
+    # word; only the recursive branch is stored, the rest are closed forms.
     memo: dict[tuple[Word, int], int] = {}
 
     def value(rr: Word, nn: int) -> int:
         if nn < len(rr):
             return 0
-        key = (rr, nn)
-        got = memo.get(key)
+        got = memo.get((rr, nn))
         if got is not None:
             return got
-        result = None
         if cache is not None:
-            canon, _ = canonical_form(rr)
-            hit = cache.get(canon, nn)
+            hit = cache.get(rr, nn)
             if hit is not None:
-                result = hit[0]
-        if result is None:
-            m = _few_regions(rr)
-            if m == 0:
-                result = 1
-            elif m == 1:
-                result = one_region_size(rr, nn)
-            elif nn <= len(rr) + 2:
-                result = 1
-            else:
-                best = max(2, value(rr, nn - 1))
-                for cut, drop, prefixes in _prefix_options(rr):
-                    tail = rr[cut:]
-                    best = max(best, len(prefixes) * value(tail, nn - drop))
-                result = best
-        memo[key] = result
-        return result
+                return hit[0]
+        if nn <= len(rr) + 2:
+            return 1  # every closed form gives 1 this close to the root, too
+        m = _few_regions(rr)
+        if m == 0:
+            return 1
+        if m == 1:
+            return one_region_size(rr, nn)
+        best = max(2, value(rr, nn - 1))
+        for cut, drop, prefixes in _prefix_options(rr):
+            tail, _ = canonical_form(rr[cut:])
+            best = max(best, len(prefixes) * value(tail, nn - drop))
+        memo[(rr, nn)] = best
+        return best
 
-    for nn in range(len(r), n_max + 1):
-        value(r, nn)
-    return memo
+    return value
 
 
-def _best_sizes(r: Word, n_max: int, cache=None) -> dict[int, int]:
-    # per length len(r)..n_max, the larger chain value of r and of its
-    # reversal (reversing every word of a code keeps it a code)
-    values = _chain_values(r, n_max, cache)
-    rev = r[::-1]
-    rev_values = _chain_values(rev, n_max, cache) if rev != r else values
-    return {nn: max(values[(r, nn)], rev_values[(rev, nn)]) for nn in range(len(r), n_max + 1)}
+def _sizes(value, r: Word, n: int) -> tuple[int, int]:
+    # the values of r and of its reversal at length n (reversing every word
+    # of a code keeps it a code); shorter lengths go first, so the recursion
+    # on nn - 1 stays shallow for any n
+    fwd, rev = canonical_form(r)[0], canonical_form(r[::-1])[0]
+    sizes = (0, 0)
+    for nn in range(len(r), n + 1):
+        sizes = value(fwd, nn), value(rev, nn)
+    return sizes
 
 
 def recursive_size(r: Word, n: int, cache=None) -> int:
@@ -309,16 +287,18 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
     Preference order: cached exact search value, one-region closed form,
     prefix recursion, the two-word code, a padded singleton.  The reversed
     root is tried as well since reversing every word of a code preserves
-    validity.
+    validity.  Every suffix the recursion reaches is looked up, in the
+    cache and in one memo, by its canonical relabeling, so a cached value
+    for any relabeling or reversal of a suffix root is used.
     """
     check_word(r)
     if not is_irreducible(r, 3):
         raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
-    return _best_sizes(r, n, cache).get(n, 0)
+    return max(_sizes(_size_table(cache), r, n))
 
 
-def _materialize(rr: Word, nn: int, memo: dict[tuple[Word, int], int]) -> set[Word]:
-    target = memo[(rr, nn)]
+def _materialize(rr: Word, nn: int, value) -> set[Word]:
+    target = value(canonical_form(rr)[0], nn)
     m = _few_regions(rr)
     if m == 0 or target <= 1:
         return {pad_tail(rr, nn - len(rr))}
@@ -330,8 +310,8 @@ def _materialize(rr: Word, nn: int, memo: dict[tuple[Word, int], int]) -> set[Wo
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
     for cut, drop, prefixes in _prefix_options(rr):
         tail = rr[cut:]
-        if len(prefixes) * memo.get((tail, nn - drop), 0) == target:
-            inner = _materialize(tail, nn - drop, memo)
+        if len(prefixes) * value(canonical_form(tail)[0], nn - drop) == target:
+            inner = _materialize(tail, nn - drop, value)
             return {p + w for p in prefixes for w in inner}
     # Unreachable.  With two or more regions and nn > len(rr) + 2,
     # value(rr, nn) = max(2, value(rr, nn - 1), options(nn)) where each
@@ -342,16 +322,14 @@ def _materialize(rr: Word, nn: int, memo: dict[tuple[Word, int], int]) -> set[Wo
     raise RuntimeError(f"no construction of size {target} for {rr!r} at length {nn}")
 
 
-def _recursive_words(r: Word, n: int) -> set[Word]:
+def _recursive_words(r: Word, n: int, value) -> set[Word]:
     # the recursive construction for r or for its reversal, whichever is
-    # larger (r on ties), without consulting any size cache
-    memo = _chain_values(r, n)
-    rev = r[::-1]
-    if rev != r:
-        rev_memo = _chain_values(rev, n)
-        if rev_memo[(rev, n)] > memo[(r, n)]:
-            return {x[::-1] for x in _materialize(rev, n, rev_memo)}
-    return _materialize(r, n, memo)
+    # larger (r on ties); value must not read a size cache, whose sizes
+    # come without words
+    size, rev_size = _sizes(value, r, n)
+    if rev_size > size:
+        return {x[::-1] for x in _materialize(r[::-1], n, value)}
+    return _materialize(r, n, value)
 
 
 def recursive_code(r: Word, n: int) -> Code:
@@ -366,27 +344,18 @@ def recursive_code(r: Word, n: int) -> Code:
         raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    return Code(n, max(3, max(r) + 1), frozenset(_recursive_words(r, n)), "recursive")
+    words = _recursive_words(r, n, _size_table())
+    return Code(n, max(3, max(r) + 1), frozenset(words), "recursive")
 
 
-def find_confusable_pair(code: Code, full: bool = False) -> tuple[Word, Word] | None:
+def find_confusable_pair(code: Code) -> tuple[Word, Word] | None:
     """First confusable pair of distinct words in ``code``, or ``None``.
 
-    By default words are grouped by root first (words with different roots
-    are never confusable, which is also the decision's first test); with
-    ``full`` every pair goes through the decision procedure.
+    Words are grouped by root first: words with different roots are never
+    confusable, which is also the decision's first test.
     """
-    words = code.sorted_words()
-    if full:
-        for i, x in enumerate(words):
-            for y in words[i + 1 :]:
-                if confusable(x, y):
-                    return x, y
-        return None
-    from .roots import root_le3
-
     groups: dict[Word, list[Word]] = {}
-    for w in words:
+    for w in code.sorted_words():
         groups.setdefault(root_le3(w), []).append(w)
     for group in groups.values():
         for i, x in enumerate(group):
@@ -396,13 +365,13 @@ def find_confusable_pair(code: Code, full: bool = False) -> tuple[Word, Word] | 
     return None
 
 
-def validate_code(code: Code, full: bool = False) -> bool:
+def validate_code(code: Code) -> bool:
     """True iff every pair of distinct words in ``code`` is non-confusable."""
     for w in code.words:
         check_word(w, code.q)
         if len(w) != code.n:
             raise ValueError(f"word {w!r} does not have code length {code.n}")
-    return find_confusable_pair(code, full=full) is None
+    return find_confusable_pair(code) is None
 
 
 def _iter_canonical_irreducible(n_max: int):
@@ -416,37 +385,40 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
 
     For each target length, sums the best available per-root code size
     over all roots that fit, working on canonical roots scaled by orbit
-    size; one enumeration pass serves every target.
+    size.  One enumeration pass and one size table, keyed by canonical
+    word, serve every target, root, suffix and reversal.
     """
     targets = sorted(set(targets))
     if not targets or targets[0] < 1:
         raise ValueError("lengths must be positive")
-    n_max = targets[-1]
+    value = _size_table(cache)
     totals = {t: 0 for t in targets}
-    for root in _iter_canonical_irreducible(n_max):
+    for root in _iter_canonical_irreducible(targets[-1]):
         _, orbit = canonical_form(root)
-        sizes = _best_sizes(root, n_max, cache)
+        rev, _ = canonical_form(root[::-1])
         for t in targets:
-            totals[t] += orbit * sizes.get(t, 0)
+            totals[t] += orbit * max(value(root, t), value(rev, t))
     return totals
 
 
-def assemble_lower_bound(n: int, cache=None, materialize: bool = False):
-    """Assembled lower bound at one length; optionally build the code.
+def assemble_lower_bound(n: int, cache=None) -> tuple[int, Code]:
+    """Assembled lower bound at one length, with the code built for it.
 
-    Returns ``(size, code)``; ``code`` is ``None`` unless ``materialize``
-    is set.  Cached exact values contribute to the size but never to the
-    materialized words, so a materialized code can be smaller with a
-    warm cache.
+    Returns ``(size, code)``.  Cached exact values contribute to the size
+    but never to the code's words, so the code can be smaller with a warm
+    cache.
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    total = assemble_lower_bounds([n], cache)[n]
-    if not materialize:
-        return total, None
+    plain = _size_table()
+    # an empty cache gives the sizes of no cache, so one table serves both
+    sized = _size_table(cache) if cache else plain
+    total = 0
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
-        best = _recursive_words(root, n)
+        _, orbit = canonical_form(root)
+        total += orbit * max(_sizes(sized, root, n))
+        best = _recursive_words(root, n, plain)
         for perm in _symbol_injections(root):
             words |= {x.translate(perm) for x in best}
     return total, Code(n, 3, frozenset(words), "assembled")

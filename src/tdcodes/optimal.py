@@ -123,12 +123,26 @@ def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
     return size, witness
 
 
+def _check_witness(root: Word, size: int, witness: tuple[Label, ...]) -> None:
+    # a cached size is trusted only with a witness code of that size: labels
+    # of the line's root, pairwise non-confusable
+    if len(witness) != size:
+        raise ValueError(f"size {size} but {len(witness)} witness labels")
+    for i, label in enumerate(witness):
+        if label.root != root:
+            raise ValueError(f"witness label {label.text()} is not of the line's root")
+        for other in witness[:i]:
+            if labels_confusable(label, other):
+                raise ValueError(f"witness labels {other.text()} and {label.text()} are confusable")
+
+
 class SizeCache:
     """Persistent store of exact per-root optimal sizes.
 
     Line format: ``canonical_root<TAB>n<TAB>size<TAB>witness-labels`` with
     the witness labels ";"-joined.  The file is append-only; on load the
-    last entry for a key wins.
+    last entry for a key wins, and every line's witness must hold ``size``
+    labels of its root, pairwise non-confusable.
     """
 
     def __init__(self, path: str | None = None):
@@ -151,7 +165,9 @@ class SizeCache:
                     witness = tuple(
                         Label.parse(piece) for piece in witness_text.split(";") if piece
                     )
-                    self._mem[(root, int(n_text))] = (int(size_text), witness)
+                    size = int(size_text)
+                    _check_witness(root, size, witness)
+                    self._mem[(root, int(n_text))] = (size, witness)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed size-cache line: {exc}") from exc
 

@@ -137,7 +137,7 @@ def test_criterion_4_optimal_sizes():
     for root in sample_roots:
         n = len(root) + rng.randint(3, 9)
         code = td.recursive_code(root, n)
-        if not td.validate_code(code, full=True):
+        if not td.validate_code(code):
             lower_ok = False
     assemble_elapsed = time.perf_counter() - t2
     report(
@@ -378,31 +378,31 @@ def test_criterion_6_invariant_suites():
 def test_criterion_7_construction_validity():
     t0 = time.perf_counter()
     ok = True
-    # full pairwise validation for codes of length <= 12
+    # pairwise validation, within each root, for codes of length <= 12
     for n in range(1, 13):
-        if not td.validate_code(td.irreducible_code(n, 3), full=n <= 10):
+        if not td.validate_code(td.irreducible_code(n, 3)):
             ok = False
     for pattern in td.ONE_REGION_PATTERNS:
         for n in range(len(pattern), 41):
             code_size = len(td.one_region_code(pattern, n))
             if code_size != td.one_region_size(pattern, n):
                 ok = False
-            if n <= 12 and not td.validate_code(td.one_region_code(pattern, n), full=True):
+            if n <= 12 and not td.validate_code(td.one_region_code(pattern, n)):
                 ok = False
     rng = random.Random(77)
     for _ in range(40):
         root = td.root_le3(bytes(rng.randrange(3) for _ in range(rng.randint(4, 10))))
-        if len(root) >= 4 and not td.validate_code(td.pair_code(root), full=True):
+        if len(root) >= 4 and not td.validate_code(td.pair_code(root)):
             ok = False
         n = len(root) + rng.randint(0, 8)
-        if not td.validate_code(td.recursive_code(root, n), full=n <= 12):
+        if not td.validate_code(td.recursive_code(root, n)):
             ok = False
     # clique search must reproduce the closed form wherever both run
     for pattern in td.ONE_REGION_PATTERNS:
         for n in range(len(pattern), 13):
             if td.optimal_size_for_root(pattern, n) != td.one_region_size(pattern, n):
                 ok = False
-    total, assembled = td.assemble_lower_bound(8, materialize=True)
+    total, assembled = td.assemble_lower_bound(8)
     if len(assembled.words) != total or not td.validate_code(assembled):
         ok = False
     elapsed = time.perf_counter() - t0

@@ -62,7 +62,7 @@ def test_pair_code_label_shape():
         code = pair_code(w(root))
         firsts = {compute_label(word).entries[0] for word in code.words}
         assert firsts == {(2, "+"), (1, "-")}
-        assert validate_code(code, full=True)
+        assert validate_code(code)
 
 
 def test_one_region_words_table():
@@ -93,13 +93,13 @@ def test_one_region_code_closed_form_all_patterns():
 def test_one_region_code_valid_all_patterns():
     for pattern in ONE_REGION_PATTERNS:
         for n in range(len(pattern), len(pattern) + 12):
-            assert validate_code(one_region_code(pattern, n), full=True), (pattern, n)
+            assert validate_code(one_region_code(pattern, n)), (pattern, n)
 
 
 def test_one_region_relabeled_roots():
     # 0102 is the first-occurrence relabeling of the pattern 1012
     code = one_region_code(w("0102"), 8)
-    assert validate_code(code, full=True)
+    assert validate_code(code)
     assert len(code) == one_region_size(w("0102"), 8)
     with pytest.raises(UnsupportedRootError):
         one_region_code(w("01210"), 8)  # two regions
@@ -109,7 +109,7 @@ def test_recursive_code_and_size():
     for root, n in (("01210", 9), ("01021", 10), ("012010", 12), ("01202", 11)):
         code = recursive_code(w(root), n)
         assert len(code) == recursive_size(w(root), n)
-        assert validate_code(code, full=True), (root, n)
+        assert validate_code(code), (root, n)
 
 
 def test_constructions_reject_non_roots():
@@ -131,7 +131,7 @@ def test_recursive_code_every_canonical_root_to_len8():
             for target in (n, n + 2, n + 5):
                 code = recursive_code(canon, target)
                 assert len(code) == recursive_size(canon, target)
-                assert validate_code(code, full=True), (canon, target)
+                assert validate_code(code), (canon, target)
             # long enough for sizes above 2 on every multi-region root
             target = n + 13
             assert len(recursive_code(canon, target)) == recursive_size(canon, target)
@@ -156,11 +156,6 @@ def test_validate_code_negative():
         validate_code(Code(6, 3, frozenset((w("012"), w("012012"))), "manual"))
 
 
-def test_validate_code_full_matches_grouped():
-    code = irreducible_code(6, 3)
-    assert validate_code(code) == validate_code(code, full=True)
-
-
 def test_assemble_lower_bound_small():
     assert assemble_lower_bound(1)[0] == 3
     assert assemble_lower_bound(5)[0] == 69
@@ -173,7 +168,7 @@ def test_assemble_lower_bound_monotone():
 
 
 def test_assemble_lower_bound_materialized():
-    total, code = assemble_lower_bound(7, materialize=True)
+    total, code = assemble_lower_bound(7)
     assert code is not None
     assert len(code.words) == total
     assert validate_code(code)
@@ -183,3 +178,31 @@ def test_code_text_json_roundtrip():
     code = one_region_code(w("012"), 10)
     assert code_from_text(code_to_text(code)) == code
     assert code_from_json(code_to_json(code)) == code
+
+
+def test_recursion_reads_size_cache_across_relabeling_and_reversal(monkeypatch):
+    from tdcodes import assemble_lower_bounds, optimal_size
+    from tdcodes.codes import _iter_canonical_irreducible
+    from tdcodes.optimal import SizeCache
+
+    monkeypatch.delenv("TDCODES_CACHE", raising=False)
+    cache = SizeCache(None)
+    for m in range(1, 11):
+        optimal_size(m, cache)
+    # every root at every length is cached, so the recursion returns the optima
+    for n in range(1, 11):
+        assert assemble_lower_bounds([n], cache)[n] == optimal_size(n)
+        for root in _iter_canonical_irreducible(n):
+            want = cache.get(root, n)[0]
+            assert recursive_size(root, n, cache) == want, (root, n)
+            assert recursive_size(root[::-1], n, cache) == want, (root, n)
+    # past the cache, suffixes and reversals of every relabeling reach it
+    # (without the cache: 1143, 1749, 2655, 4005, 6009, 9003)
+    assert assemble_lower_bounds(range(11, 17), cache) == {
+        11: 1197,
+        12: 1779,
+        13: 2655,
+        14: 4041,
+        15: 6165,
+        16: 9255,
+    }

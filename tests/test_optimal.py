@@ -134,7 +134,7 @@ def test_clique_witness_realizes_word_code():
         by_label.setdefault(compute_label(word), word)
     words = frozenset(by_label[label] for label in witness)
     assert len(words) == size
-    assert validate_code(Code(n, 3, words, "clique-witness"), full=True)
+    assert validate_code(Code(n, 3, words, "clique-witness"))
 
 
 def test_optimal_size_small_lengths():
@@ -185,6 +185,25 @@ def test_size_cache_reports_malformed_line(tmp_path, capsys):
 
     path = tmp_path / "cache.tsv"
     path.write_text("012\t9\t2\t012:(1,-);012:(2,+)\n012\t7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed size-cache line")):
+        SizeCache(str(path))
+    assert main(["--cache", str(path), "optimal", "--n", "4"]) == 2
+    assert f"error: {path}:2: malformed size-cache line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "012\t9\t3\t012:(1,-);012:(2,+)",  # hand-edited size
+        "012\t9\t2\t012:(1,+);012:(2,+)",  # confusable witness labels
+        "012\t9\t2\t012:(1,-);0120:(2,+)",  # a label of another root
+    ],
+)
+def test_size_cache_rejects_bad_witness(tmp_path, capsys, line):
+    from tdcodes.cli import main
+
+    path = tmp_path / "cache.tsv"
+    path.write_text(f"012\t9\t2\t012:(1,-);012:(2,+)\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed size-cache line")):
         SizeCache(str(path))
     assert main(["--cache", str(path), "optimal", "--n", "4"]) == 2
