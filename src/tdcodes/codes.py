@@ -240,7 +240,8 @@ def _size_table(cache=None):
     # len(prefixes)) of _prefix_options depend only on which positions of rr
     # hold equal symbols, and the size cache is keyed by canonical root.  So
     # every root, suffix and reversal shares one memo, keyed by canonical
-    # word; only the recursive branch is stored, the rest are closed forms.
+    # word (see _canonical); only the recursive branch is stored, the rest
+    # are closed forms.
     memo: dict[tuple[Word, int], int] = {}
 
     def value(rr: Word, nn: int) -> int:
@@ -262,19 +263,25 @@ def _size_table(cache=None):
             return one_region_size(rr, nn)
         best = max(2, value(rr, nn - 1))
         for cut, drop, prefixes in _prefix_options(rr):
-            tail, _ = canonical_form(rr[cut:])
-            best = max(best, len(prefixes) * value(tail, nn - drop))
+            best = max(best, len(prefixes) * value(_canonical(rr[cut:]), nn - drop))
         memo[(rr, nn)] = best
         return best
 
     return value
 
 
+def _canonical(x: Word) -> Word:
+    # first-occurrence relabeling of a root or suffix over any alphabet:
+    # roots over more than three symbols recurse too, and their 4+-symbol
+    # keys simply miss the size cache, which holds ternary roots only
+    return canonical_form(x, 256)[0]
+
+
 def _sizes(value, r: Word, n: int) -> tuple[int, int]:
     # the values of r and of its reversal at length n (reversing every word
     # of a code keeps it a code); shorter lengths go first, so the recursion
     # on nn - 1 stays shallow for any n
-    fwd, rev = canonical_form(r)[0], canonical_form(r[::-1])[0]
+    fwd, rev = _canonical(r), _canonical(r[::-1])
     sizes = (0, 0)
     for nn in range(len(r), n + 1):
         sizes = value(fwd, nn), value(rev, nn)
@@ -298,7 +305,7 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
 
 
 def _materialize(rr: Word, nn: int, value) -> set[Word]:
-    target = value(canonical_form(rr)[0], nn)
+    target = value(_canonical(rr), nn)
     m = _few_regions(rr)
     if m == 0 or target <= 1:
         return {pad_tail(rr, nn - len(rr))}
@@ -310,7 +317,7 @@ def _materialize(rr: Word, nn: int, value) -> set[Word]:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
     for cut, drop, prefixes in _prefix_options(rr):
         tail = rr[cut:]
-        if len(prefixes) * value(canonical_form(tail)[0], nn - drop) == target:
+        if len(prefixes) * value(_canonical(tail), nn - drop) == target:
             inner = _materialize(tail, nn - drop, value)
             return {p + w for p in prefixes for w in inner}
     # Unreachable.  With two or more regions and nn > len(rr) + 2,
@@ -408,17 +415,11 @@ def assemble_lower_bound(n: int, cache=None) -> tuple[int, Code]:
     but never to the code's words, so the code can be smaller with a warm
     cache.
     """
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    plain = _size_table()
-    # an empty cache gives the sizes of no cache, so one table serves both
-    sized = _size_table(cache) if cache else plain
-    total = 0
+    total = assemble_lower_bounds([n], cache)[n]
+    value = _size_table()
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
-        _, orbit = canonical_form(root)
-        total += orbit * max(_sizes(sized, root, n))
-        best = _recursive_words(root, n, plain)
+        best = _recursive_words(root, n, value)
         for perm in _symbol_injections(root):
             words |= {x.translate(perm) for x in best}
     return total, Code(n, 3, frozenset(words), "assembled")

@@ -87,6 +87,12 @@ def test_code_command_text_and_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "code", "pair", "--root", "0120")
     payload = json.loads(out)
     assert sorted(payload["words"]) == ["0112200", "0120120"]
+    # a root over four symbols recurses into its three-symbol suffix
+    code, out, _ = run(capsys, "--q", "4", "code", "recursive", "--root", "0123", "--n", "12", "--validate")
+    assert code == 0
+    assert out.strip().splitlines() == [
+        "12 4 4 recursive", "011112233333", "011112312333", "012012233333", "012012312333"
+    ]
 
 
 def test_bounds_and_optimal_commands(capsys):

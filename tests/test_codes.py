@@ -112,6 +112,41 @@ def test_recursive_code_and_size():
         assert validate_code(code), (root, n)
 
 
+def test_recursion_over_more_than_three_symbols(monkeypatch):
+    from tdcodes import optimal_size, parse_word
+    from tdcodes.optimal import SizeCache
+
+    # sizes at lengths len(r) .. len(r) + 10, as the raw-keyed recursion gave them
+    expected = {
+        "0123": [1, 1, 1, 2, 2, 2, 4, 4, 4, 4, 6],
+        "01230": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
+        "010203": [1, 1, 1, 2, 2, 2, 4, 4, 4, 4, 6],
+        "012301": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
+        "0120310": [1, 1, 1, 2, 2, 2, 2, 4, 4, 4, 8],
+        "01234": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
+        "0123401": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
+    }
+    for text, sizes in expected.items():
+        r = parse_word(text, 5)
+        for n, size in enumerate(sizes, start=len(r)):
+            assert recursive_size(r, n) == size, (text, n)
+            assert len(recursive_code(r, n)) == size, (text, n)
+    # ternary cache entries serve the ternary suffixes of a four-symbol root
+    monkeypatch.delenv("TDCODES_CACHE", raising=False)
+    cache = SizeCache(None)
+    for m in range(1, 9):
+        optimal_size(m, cache)
+    assert recursive_size(parse_word("0123", 4), 12, cache) >= 4
+
+
+@pytest.mark.xfail(strict=True, reason="the prefix options can join confusable words over four symbols")
+def test_recursive_code_valid_over_four_symbols():
+    from tdcodes import parse_word
+
+    # 0100020210213 and 0102100210213 share the descendant 01000202100210213
+    assert validate_code(recursive_code(parse_word("010213", 4), 13))
+
+
 def test_constructions_reject_non_roots():
     for fn in (pair_code, lambda r: recursive_code(r, 8), lambda r: recursive_size(r, 8)):
         with pytest.raises(ValueError):
