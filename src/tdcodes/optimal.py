@@ -156,8 +156,8 @@ class SizeCache:
     def _load(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
+                line = line.rstrip("\r\n")  # an empty witness field ends the line
+                if not line.strip() or line.startswith("#"):
                     continue
                 try:
                     root_text, n_text, size_text, witness_text = line.split("\t")
@@ -177,6 +177,7 @@ class SizeCache:
     def put(self, root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
         if self._mem.get((root, n)) == (size, witness):
             return
+        _check_witness(root, size, witness)
         self._mem[(root, n)] = (size, witness)
         if self.path:
             line = "\t".join(

@@ -25,17 +25,9 @@ def root_le_k(x: Word, k: int) -> Word:
     """Return the unique root of ``x`` under deduplications of length <= k."""
     if len(x) == 0:
         raise ValueError("empty word has no root")
-    if k == 1:
-        out = bytearray()
-        last = -1
-        for s in x:
-            if s != last:
-                out.append(s)
-                last = s
-        return bytes(out)
-    if k not in (2, 3):
+    if k not in (1, 2, 3):
         raise ValueError(f"roots under length-at-most-k deduplication need k in 1..3, got {k}")
-    return _stack(x, k == 3)[0]
+    return _stack(x, k)[0]
 
 
 def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
@@ -46,32 +38,53 @@ def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
     """
     if len(x) == 0:
         raise ValueError("empty word has no root")
-    return _stack(x, True)
+    return _stack(x, 3)
 
 
-def _stack(x: Word, three: bool) -> tuple[Word, list[int]]:
-    # the stack holds the root of the prefix read so far.  A pushed symbol
-    # can only complete a duplicate that ends at the top of the stack, and
-    # removing that duplicate leaves a prefix of the previous stack, which
-    # is already irreducible; so at most one removal per symbol is needed.
-    # Every branch but the first changes the depth, so x[:i] is the last
-    # prefix at the old depth n exactly when one of them runs at symbol i.
+def _stack(x: Word, k: int) -> tuple[Word, list[int]]:
+    # the stack st holds the le-k root of the prefix read so far.  A pushed
+    # symbol can only complete a duplicate that ends at the top of the
+    # stack, and removing that duplicate leaves a prefix of the previous
+    # stack, which is already irreducible; so at most one removal per symbol
+    # is needed.
+    #
+    # n is the depth and t1, t2, t3 the top three symbols, -1 below the
+    # bottom (no byte equals it).  s == t1 is exactly the run test: whichever
+    # branch processes a symbol s leaves s on top (a push puts it there, and
+    # each removal needs st[-2] == s or st[-3] == s and drops what lies
+    # above it), so t1 is the previous symbol and a repeat of it is a
+    # length-1 duplicate.  For k = 1 that is the only rule.  The length-2
+    # rule removes (ab)(ab) when the stack ends in a b a and s = b; the
+    # length-3 rule removes (abc)(abc) when it ends in a b c a b and s = c,
+    # and only it reads below t3.  Every branch but the first changes the
+    # depth, so x[:i] is the last prefix at the old depth n exactly when one
+    # of them runs at symbol i.
     st = bytearray()
+    push = st.append
     last = [0]
+    n = 0
+    t1 = t2 = t3 = -1
+    two = k >= 2
+    three = k == 3
     for i, s in enumerate(x):
-        n = len(st)
-        if n and st[-1] == s:
+        if s == t1:
             continue
         last[n] = i
-        if n >= 3 and st[-2] == s and st[-3] == st[-1]:
-            del st[-1:]
-        elif three and n >= 5 and st[-3] == s and st[-4] == st[-1] and st[-5] == st[-2]:
+        if s == t2 and t3 == t1 and two:
+            del st[-1]
+            n -= 1
+            t1, t2, t3 = s, t3, st[n - 3] if n >= 3 else -1
+        elif s == t3 and three and n >= 5 and st[n - 4] == t1 and st[n - 5] == t2:
             del st[-2:]
+            n -= 2
+            t1, t2, t3 = s, t1, t2
         else:
-            st.append(s)
-            if n + 1 == len(last):
+            push(s)
+            n += 1
+            t1, t2, t3 = s, t1, t2
+            if n == len(last):
                 last.append(0)
-    last[len(st)] = len(x)
+    last[n] = len(x)
     return bytes(st), last
 
 

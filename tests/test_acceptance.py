@@ -515,11 +515,12 @@ def test_criterion_8_near_linear_time(monkeypatch):
     assert not td.confusable(*cases[0][2])
     import gc
 
+    rounds = 15  # with 5 or 9, host stalls still moved small-size medians past 2.5
     timings: dict[int, list[float]] = {size: [] for size, *_ in cases}
     gc.collect()
     gc.disable()
     try:
-        for _ in range(5):  # round-robin so transient stalls hit every size
+        for _ in range(rounds):  # round-robin so transient stalls hit every size
             for size, pair1, pair2, pair3 in cases:
                 t0 = time.perf_counter()
                 td.confusable(*pair1)
@@ -528,7 +529,7 @@ def test_criterion_8_near_linear_time(monkeypatch):
                 timings[size].append(time.perf_counter() - t0)
     finally:
         gc.enable()
-    medians = [(size, sorted(runs)[2]) for size, runs in timings.items()]
+    medians = [(size, sorted(runs)[rounds // 2]) for size, runs in timings.items()]
     ratios = [
         medians[i + 1][1] / medians[i][1] for i in range(len(medians) - 1)
     ]
@@ -538,6 +539,6 @@ def test_criterion_8_near_linear_time(monkeypatch):
     report(
         "8 near-linear-confusability",
         ok,
-        f"median of 5 runs per size, worst doubling ratio {max(ratios):.2f} <= 2.5 [{detail}]; "
+        f"median of {rounds} runs per size, worst doubling ratio {max(ratios):.2f} <= 2.5 [{detail}]; "
         f"long-root symbols handed per input symbol <= 4 [{symbols}]",
     )

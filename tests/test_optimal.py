@@ -158,9 +158,28 @@ def test_size_cache_roundtrip(tmp_path):
     assert cache.get(w("012"), 9)[0] == value
     reloaded = SizeCache(str(path))
     assert reloaded.get(w("012"), 9) == (value, witness)
-    # a cache hit short-circuits recomputation
-    reloaded.put(w("012"), 11, 99, ())
-    assert optimal_size_for_root(w("012"), 11, cache=reloaded) == 99
+    # a cache hit short-circuits recomputation: a valid but deliberately
+    # small witness is returned as it stands
+    small = (compute_label(w("012")),)
+    reloaded.put(w("012"), 11, 1, small)
+    assert optimal_size_for_root(w("012"), 11, cache=reloaded) == 1
+    assert SizeCache(str(path)).get(w("012"), 11) == (1, small)
+
+
+def test_size_cache_writes_only_loadable_lines(tmp_path):
+    path = tmp_path / "cache.tsv"
+    cache = SizeCache(str(path))
+    # an empty witness (size 0) survives the round trip
+    cache.put(w("012"), 5, 0, ())
+    assert SizeCache(str(path)).get(w("012"), 5) == (0, ())
+    # a witness the loader would reject is neither stored nor written
+    text = path.read_text(encoding="utf-8")
+    label = compute_label(w("012"))
+    for size, witness in ((99, ()), (2, (label, label)), (1, (compute_label(w("0121")),))):
+        with pytest.raises(ValueError):
+            cache.put(w("012"), 11, size, witness)
+        assert cache.get(w("012"), 11) is None
+    assert path.read_text(encoding="utf-8") == text
 
 
 def test_optimal_size_uses_cache(tmp_path):

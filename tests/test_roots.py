@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcodes import (
     confusable_by_roots,
@@ -11,6 +13,7 @@ from tdcodes import (
     root_le_k,
     tandem_duplicate,
 )
+from tdcodes.roots import _stack
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
 
@@ -34,16 +37,55 @@ def test_root_exact_k_examples():
     assert root_exact_k(w("012"), 5) == w("012")
 
 
+def _pipeline_roots(x: bytes) -> list[bytes]:
+    # the roots of x for k = 1, 2, 3 by definition: remove every length-1,
+    # then every length-2, then every length-3 duplicate
+    roots = []
+    for k in (1, 2, 3):
+        x = remove_duplicates_pass(x, k)
+        roots.append(x)
+    return roots
+
+
+def _check_kernel(x: bytes, k: int, prefix_roots) -> None:
+    # prefix_roots(j) is the le-k root of x[:j] for 1 <= j <= len(x)
+    r, last = _stack(x, k)
+    assert r == prefix_roots(len(x)), (x, k)
+    depths = [0] + [len(prefix_roots(j)) for j in range(1, len(x) + 1)]
+    assert len(last) == max(depths) + 1, (x, k)
+    for d, end in enumerate(last):
+        assert end == max(j for j, depth in enumerate(depths) if depth == d), (x, k, d)
+
+
 def test_pipeline_property():
     # removing all length-1, then length-2, then length-3 duplicates gives
-    # the same roots as the single-pass computation
+    # the same roots as the single-pass computation, and the depth table
+    # matches the roots of every prefix; every ternary word of length <= 10
+    roots: dict[bytes, list[bytes]] = {}
     for x in iter_ternary_words(1, 10):
-        stage1 = remove_duplicates_pass(x, 1)
-        stage2 = remove_duplicates_pass(stage1, 2)
-        stage3 = remove_duplicates_pass(stage2, 3)
-        assert stage1 == root_le_k(x, 1)
-        assert stage2 == root_le2(x)
-        assert stage3 == root_le3(x)
+        roots[x] = _pipeline_roots(x)
+        assert roots[x] == [root_le_k(x, 1), root_le2(x), root_le3(x)]
+        for k in (1, 2, 3):
+            _check_kernel(x, k, lambda j: roots[x[:j]][k - 1])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_kernel_matches_definitions_on_long_runs(data):
+    # words of runs of 1-50 equal symbols over q = 2..6 arbitrary byte
+    # values, so runs, the -1 sentinel and symbols above 2 all occur
+    q = data.draw(st.integers(2, 6), label="q")
+    alphabet = data.draw(
+        st.lists(st.integers(0, 255), min_size=q, max_size=q, unique=True), label="alphabet"
+    )
+    runs = data.draw(
+        st.lists(st.tuples(st.sampled_from(alphabet), st.integers(1, 50)), min_size=1, max_size=10),
+        label="runs",
+    )
+    x = b"".join(bytes([s]) * m for s, m in runs)
+    prefix_roots = [None] + [_pipeline_roots(x[:j]) for j in range(1, len(x) + 1)]
+    for k in (1, 2, 3):
+        _check_kernel(x, k, lambda j: prefix_roots[j][k - 1])
 
 
 def test_root_uniqueness_all_removal_orders():
