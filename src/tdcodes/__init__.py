@@ -7,24 +7,19 @@ bounds, and an exact clique-based search for optimal code sizes.
 
 from .words import (
     Word,
-    Symbol,
     ResourceBudgetError,
     parse_word,
     render_word,
     check_word,
     tandem_duplicate,
-    apply_steps,
     remove_duplicates_pass,
     is_irreducible,
     pad_tail,
-    reverse_word,
 )
 from .roots import (
     root_le_k,
-    root_le2,
     root_le3,
     root_exact_k,
-    confusable_by_roots,
 )
 from .confusability import (
     NoRegionError,
@@ -35,7 +30,6 @@ from .confusability import (
     cut_prefix,
     count_occurrences,
     confusable,
-    confusable_with_cost,
     Label,
     compute_label,
     labels_confusable,

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tdcodes",
         description="Tandem-duplication words: roots, confusability, codes and bounds.",
     )
-    parser.add_argument("--q", type=int, default=3, help="alphabet size (default 3)")
+    parser.add_argument("--q", type=int, default=3, help="alphabet size, 1..256 (default 3)")
     parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     parser.add_argument(
         "--budget-states",
@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="summary table across lengths")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--optimal-up-to", type=int, default=0)
-    p.add_argument("--lower-up-to", type=int, default=None)
 
     p = sub.add_parser("verify", help="re-derive the bundled reference fixtures")
     p.add_argument("--n-max", type=int, default=20)
@@ -135,6 +134,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _run(args) -> int:
     q = args.q
+    if not 1 <= q <= 256:
+        raise ValueError(f"--q must be between 1 and 256 (symbols are bytes), got {q}")
     if args.command == "root":
         x = parse_word(args.word, q)
         r = root_exact_k(x, args.exact) if args.exact else root_le_k(x, args.k)
@@ -276,15 +277,13 @@ def _build_code(args, q):
 
 def _run_table(args) -> None:
     cache = SizeCache(args.cache)
-    lower_up_to = args.lower_up_to if args.lower_up_to is not None else args.n_max
     counts3 = irreducible_counts(args.n_max, 3, 3)
     print("n\tconstr1\tlower\teq1\tprop4\toptimal")
     cumulative = 0
-    lower_targets = [n for n in range(1, args.n_max + 1) if n <= lower_up_to]
-    lowers = assemble_lower_bounds(lower_targets, cache=cache) if lower_targets else {}
+    lowers = assemble_lower_bounds(range(1, args.n_max + 1), cache=cache) if args.n_max > 0 else {}
     for n in range(1, args.n_max + 1):
         cumulative += counts3[n]
-        lower = lowers.get(n, "")
+        lower = lowers[n]
         optimal = optimal_size(n, cache=cache) if n <= args.optimal_up_to else ""
         print(
             f"{n}\t{cumulative}\t{lower}\t{refined_upper_bound(n)}\t{le2_upper_bound(n)}\t{optimal}"
@@ -301,9 +300,10 @@ def _fixture_lines(name: str) -> list[str]:
 def verify_fixtures(n_max: int = 20) -> list[tuple[str, bool, str]]:
     """Re-derive the bundled reference values; returns (name, ok, detail) rows.
 
-    The reference table's published lower bounds cannot be re-derived at
-    desk scale; for those rows the check is that the assembled bound stays
-    within [constr1, eq1].
+    Checks the reference table's constr1 column (cumulative irreducible
+    counts) on every row, its eq1 and prop4 columns (the refined and le-2
+    upper bounds) for n <= ``n_max``, and every worked example.  The
+    table's lower and optimal columns are not checked.
     """
     report: list[tuple[str, bool, str]] = []
 

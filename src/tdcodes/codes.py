@@ -4,7 +4,7 @@ A code is a set of equal-length words that are pairwise non-confusable
 under duplications of length at most three.  Constructions here cover:
 padded irreducible words, an optimal two-word code three symbols past any
 root, the complete one-region family with its closed-form size, and a
-recursive prefix construction that extends codes for shorter roots.
+recursive prefix construction that extends codes for shorter ternary roots.
 Every constructed code can be checked against the confusability decision.
 """
 
@@ -240,8 +240,7 @@ def _size_table(cache=None):
     # len(prefixes)) of _prefix_options depend only on which positions of rr
     # hold equal symbols, and the size cache is keyed by canonical root.  So
     # every root, suffix and reversal shares one memo, keyed by canonical
-    # word (see _canonical); only the recursive branch is stored, the rest
-    # are closed forms.
+    # word; only the recursive branch is stored, the rest are closed forms.
     memo: dict[tuple[Word, int], int] = {}
 
     def value(rr: Word, nn: int) -> int:
@@ -263,33 +262,36 @@ def _size_table(cache=None):
             return one_region_size(rr, nn)
         best = max(2, value(rr, nn - 1))
         for cut, drop, prefixes in _prefix_options(rr):
-            best = max(best, len(prefixes) * value(_canonical(rr[cut:]), nn - drop))
+            best = max(best, len(prefixes) * value(canonical_form(rr[cut:])[0], nn - drop))
         memo[(rr, nn)] = best
         return best
 
     return value
 
 
-def _canonical(x: Word) -> Word:
-    # first-occurrence relabeling of a root or suffix over any alphabet:
-    # roots over more than three symbols recurse too, and their 4+-symbol
-    # keys simply miss the size cache, which holds ternary roots only
-    return canonical_form(x, 256)[0]
-
-
 def _sizes(value, r: Word, n: int) -> tuple[int, int]:
     # the values of r and of its reversal at length n (reversing every word
     # of a code keeps it a code); shorter lengths go first, so the recursion
     # on nn - 1 stays shallow for any n
-    fwd, rev = _canonical(r), _canonical(r[::-1])
+    fwd, rev = canonical_form(r)[0], canonical_form(r[::-1])[0]
     sizes = (0, 0)
     for nn in range(len(r), n + 1):
         sizes = value(fwd, nn), value(rev, nn)
     return sizes
 
 
+def _check_ternary_root(r: Word) -> None:
+    # _prefix_options is the paper's ternary construction; over four or more
+    # symbols it can pair confusable words
+    check_word(r)
+    if not is_irreducible(r, 3):
+        raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
+    if len(set(r)) > 3:
+        raise UnsupportedRootError(f"{r!r} has more than three symbols; the recursion is ternary")
+
+
 def recursive_size(r: Word, n: int, cache=None) -> int:
-    """Best known code size for root ``r`` at length ``n``.
+    """Best known code size for a root ``r`` over three symbols at length ``n``.
 
     Preference order: cached exact search value, one-region closed form,
     prefix recursion, the two-word code, a padded singleton.  The reversed
@@ -298,14 +300,12 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
     cache and in one memo, by its canonical relabeling, so a cached value
     for any relabeling or reversal of a suffix root is used.
     """
-    check_word(r)
-    if not is_irreducible(r, 3):
-        raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
+    _check_ternary_root(r)
     return max(_sizes(_size_table(cache), r, n))
 
 
 def _materialize(rr: Word, nn: int, value) -> set[Word]:
-    target = value(_canonical(rr), nn)
+    target = value(canonical_form(rr)[0], nn)
     m = _few_regions(rr)
     if m == 0 or target <= 1:
         return {pad_tail(rr, nn - len(rr))}
@@ -317,7 +317,7 @@ def _materialize(rr: Word, nn: int, value) -> set[Word]:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
     for cut, drop, prefixes in _prefix_options(rr):
         tail = rr[cut:]
-        if len(prefixes) * value(_canonical(tail), nn - drop) == target:
+        if len(prefixes) * value(canonical_form(tail)[0], nn - drop) == target:
             inner = _materialize(tail, nn - drop, value)
             return {p + w for p in prefixes for w in inner}
     # Unreachable.  With two or more regions and nn > len(rr) + 2,
@@ -346,9 +346,7 @@ def recursive_code(r: Word, n: int) -> Code:
     values are not stored in this module), so with a cache supplied
     :func:`recursive_size` can report more than this code holds.
     """
-    check_word(r)
-    if not is_irreducible(r, 3):
-        raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
+    _check_ternary_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
     words = _recursive_words(r, n, _size_table())

@@ -27,7 +27,6 @@ __all__ = [
     "cut_prefix",
     "count_occurrences",
     "confusable",
-    "confusable_with_cost",
     "Label",
     "compute_label",
     "labels_confusable",
@@ -221,32 +220,22 @@ def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
     return not (cx < cy and sx == "-" or cy < cx and sy == "-")
 
 
-def confusable_with_cost(x: Word, y: Word) -> tuple[bool, int]:
-    """Like :func:`confusable` but also returns the symbols read per region.
+def confusable(x: Word, y: Word) -> bool:
+    """True iff some word descends from both ``x`` and ``y`` by duplications of length <= 3.
 
-    The decision makes one root pass over each word; every peeling round
-    then reads only the generated prefixes ``p`` and ``q`` of its region.
-    The second value sums ``len(p) + len(q)`` over the rounds run, on top
-    of that single root pass; it is bounded by three times the combined
-    input length.
+    One root pass over each word, then one peeling round per region of the
+    shared root, each reading only the region's generated prefixes.
     """
     check_word(x)
     check_word(y)
     r, last_x = root_le3_depths(x)
     ry, last_y = root_le3_depths(y)
     if r != ry:
-        return False, 0
-    cost = 0
-    for (ex, x0, x1), (ey, y0, y1) in zip(_peel(x, r, last_x), _peel(y, r, last_y)):
-        cost += x1 - x0 + y1 - y0
+        return False
+    for (ex, _, _), (ey, _, _) in zip(_peel(x, r, last_x), _peel(y, r, last_y)):
         if not _entry_confusable(ex, ey):
-            return False, cost
-    return True, cost
-
-
-def confusable(x: Word, y: Word) -> bool:
-    """True iff some word descends from both ``x`` and ``y`` by duplications of length <= 3."""
-    return confusable_with_cost(x, y)[0]
+            return False
+    return True
 
 
 @dataclass(frozen=True, order=True)

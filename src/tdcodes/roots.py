@@ -1,4 +1,4 @@
-"""Unique duplication roots and the root-equality confusability tests.
+"""Unique duplication roots.
 
 Every word has exactly one root under deduplications of one fixed length k,
 and exactly one root under deduplications of length at most k for k in
@@ -13,11 +13,9 @@ from .words import Word
 
 __all__ = [
     "root_le_k",
-    "root_le2",
     "root_le3",
     "root_le3_depths",
     "root_exact_k",
-    "confusable_by_roots",
 ]
 
 
@@ -88,10 +86,6 @@ def _stack(x: Word, k: int) -> tuple[Word, list[int]]:
     return bytes(st), last
 
 
-def root_le2(x: Word) -> Word:
-    return root_le_k(x, 2)
-
-
 def root_le3(x: Word) -> Word:
     return root_le_k(x, 3)
 
@@ -108,27 +102,3 @@ def root_exact_k(x: Word, k: int) -> Word:
         if len(st) >= 2 * k and st[-k:] == st[-2 * k : -k]:
             del st[-k:]
     return bytes(st)
-
-
-def confusable_by_roots(x: Word, y: Word, kind) -> bool:
-    """Decide confusability by root equality where that is the whole story.
-
-    ``kind`` is an integer k for duplications of length exactly k (any k),
-    or one of "le1" / "le2" for duplications of length at most k.  For
-    length at most 3, root equality is necessary but not sufficient, so
-    "le3" is rejected; use :func:`tdcodes.confusability.confusable`.
-    """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("empty word")
-    if kind == "le1":
-        return root_le_k(x, 1) == root_le_k(y, 1)
-    if kind == "le2":
-        return root_le_k(x, 2) == root_le_k(y, 2)
-    if kind == "le3":
-        raise ValueError(
-            "root equality does not decide confusability under duplications of "
-            "length at most 3; use tdcodes.confusability.confusable"
-        )
-    if isinstance(kind, int):
-        return root_exact_k(x, kind) == root_exact_k(y, kind)
-    raise ValueError(f"unknown kind {kind!r}")

@@ -10,24 +10,18 @@ public entry point; it only ever appears as an internal intermediate.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 Word = bytes
-Symbol = int
 
 __all__ = [
     "Word",
-    "Symbol",
     "ResourceBudgetError",
     "parse_word",
     "render_word",
     "check_word",
     "tandem_duplicate",
-    "apply_steps",
     "remove_duplicates_pass",
     "is_irreducible",
     "pad_tail",
-    "reverse_word",
 ]
 
 
@@ -89,13 +83,6 @@ def tandem_duplicate(x: Word, i: int, k: int) -> Word:
     return x[: i + k] + x[i : i + k] + x[i + k :]
 
 
-def apply_steps(x: Word, steps: Iterable[tuple[int, int]]) -> Word:
-    """Apply a sequence of ``(i, k)`` duplication steps to ``x``."""
-    for i, k in steps:
-        x = tandem_duplicate(x, i, k)
-    return x
-
-
 def remove_duplicates_pass(x: Word, k: int) -> Word:
     """Remove every factor ``vv`` with ``|v| = k`` by a left-to-right scan.
 
@@ -145,9 +132,3 @@ def pad_tail(x: Word, count: int) -> Word:
     if count < 0:
         raise ValueError(f"negative padding {count}")
     return x + x[-1:] * count
-
-
-def reverse_word(x: Word) -> Word:
-    if len(x) == 0:
-        raise ValueError("empty word")
-    return x[::-1]

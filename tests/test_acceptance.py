@@ -10,7 +10,8 @@ import time
 import pytest
 
 import tdcodes as td
-from tdcodes.confusability import confusable_with_cost
+from tdcodes.confusability import _peel
+from tdcodes.roots import root_le3_depths
 
 from conftest import w
 
@@ -56,7 +57,7 @@ def test_criterion_1_worked_examples():
     assert td.tandem_duplicate(w("01210"), 1, 3) == w("01211210")
     assert td.tandem_duplicate(w("01211210"), 0, 2) == w("0101211210")
     assert td.root_le3(w("01012012")) == w("012")
-    assert td.root_le2(w("012012")) == w("012012")
+    assert td.root_le_k(w("012012"), 2) == w("012012")
     assert td.confusable(w("012012"), w("011112")) is False
     desc = td.main_and_region(w("010201"))
     assert desc.main == w("102") and desc.reg == w("0102")
@@ -301,7 +302,7 @@ def test_criterion_6_invariant_suites():
                 if table[x] != td.root_le_k(x, k):
                     ok = False
             stage12 = td.remove_duplicates_pass(td.remove_duplicates_pass(x, 1), 2)
-            if stage12 != td.root_le2(x):
+            if stage12 != td.root_le_k(x, 2):
                 ok = False
             if td.remove_duplicates_pass(stage12, 3) != td.root_le3(x):
                 ok = False
@@ -325,7 +326,8 @@ def test_criterion_6_invariant_suites():
         base = bytes(rng.randrange(3) for _ in range(rng.randint(1, 6)))
         x = _random_descendant_exact(rng, base, rng.randint(len(base), 14))
         y = _random_descendant_exact(rng, base, rng.randint(len(base), 14))
-        _, cost = confusable_with_cost(x, y)
+        # symbols read by full peels of both words, past their root passes
+        cost = sum(j - i for z in (x, y) for _, i, j in _peel(z, *root_le3_depths(z)))
         if cost > 3 * (len(x) + len(y)):
             ok = False
         label = td.compute_label(x)
@@ -504,7 +506,9 @@ def test_criterion_8_near_linear_time(monkeypatch):
     cases = []
     for size in sizes:
         a = _batched_descendant(rng, shared, size)
-        b = _batched_descendant(rng, shared, size)
+        # a one-step duplication keeps the pair confusable at every size, so
+        # every size peels every region of the shared root
+        b = td.tandem_duplicate(a, size // 2, 3)
         # same root, never confusable: one side keeps a single region copy
         # with no surviving triple, the other pumps the triple many times
         flat = b"\x00" + b"\x01" * (size // 2) + b"\x02" * (size - size // 2 - 1)

@@ -87,12 +87,13 @@ def test_code_command_text_and_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "code", "pair", "--root", "0120")
     payload = json.loads(out)
     assert sorted(payload["words"]) == ["0112200", "0120120"]
-    # a root over four symbols recurses into its three-symbol suffix
-    code, out, _ = run(capsys, "--q", "4", "code", "recursive", "--root", "0123", "--n", "12", "--validate")
+    # the recursion is ternary: a root over four symbols is refused, and a
+    # three-symbol root over a larger alphabet is built as its relabeling
+    code, out, err = run(capsys, "--q", "4", "code", "recursive", "--root", "0123", "--n", "12")
+    assert code == 2 and out == "" and "more than three symbols" in err
+    code, out, _ = run(capsys, "--q", "4", "code", "recursive", "--root", "0130", "--n", "12", "--validate")
     assert code == 0
-    assert out.strip().splitlines() == [
-        "12 4 4 recursive", "011112233333", "011112312333", "012012233333", "012012312333"
-    ]
+    assert out.strip().splitlines() == ["12 4 3 recursive", "011330000000", "011330011330", "013013013000"]
 
 
 def test_bounds_and_optimal_commands(capsys):
@@ -112,6 +113,8 @@ def test_table_command(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n\tconstr1\tlower\teq1\tprop4\toptimal"
     assert lines[6].split("\t") == ["6", "111", "117", "117", "117", "117"]
+    code, out, _ = run(capsys, "table", "--n-max", "0")
+    assert code == 0 and out == "n\tconstr1\tlower\teq1\tprop4\toptimal\n"
 
 
 def test_validation_exit_code(capsys):
@@ -119,6 +122,10 @@ def test_validation_exit_code(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "confuse", "013", "012")
     assert code == 2
+    # words are bytes, so an alphabet above 256 symbols is refused up front
+    for argv in (("--q", "300", "root", "299"), ("--q", "300", "irr", "2"), ("--q", "257", "label", "256,1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "between 1 and 256" in err
 
 
 def test_resource_exit_code(capsys):

@@ -42,10 +42,10 @@ def test_irreducible_code_valid():
 def test_irreducible_code_le2_pairwise_nonconfusable_under_le2():
     # the k=2 code is a code with respect to duplications of length <= 2,
     # where non-confusability is exactly distinctness of le-2 roots
-    from tdcodes import root_le2
+    from tdcodes import root_le_k
 
     code = irreducible_code(6, 2)
-    roots = {root_le2(word) for word in code.words}
+    roots = {root_le_k(word, 2) for word in code.words}
     assert len(roots) == len(code.words)
 
 
@@ -112,39 +112,35 @@ def test_recursive_code_and_size():
         assert validate_code(code), (root, n)
 
 
-def test_recursion_over_more_than_three_symbols(monkeypatch):
-    from tdcodes import optimal_size, parse_word
-    from tdcodes.optimal import SizeCache
+def test_recursion_over_more_than_three_symbols():
+    from tdcodes import canonical_form, parse_word
 
-    # sizes at lengths len(r) .. len(r) + 10, as the raw-keyed recursion gave them
-    expected = {
-        "0123": [1, 1, 1, 2, 2, 2, 4, 4, 4, 4, 6],
-        "01230": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
-        "010203": [1, 1, 1, 2, 2, 2, 4, 4, 4, 4, 6],
-        "012301": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
-        "0120310": [1, 1, 1, 2, 2, 2, 2, 4, 4, 4, 8],
-        "01234": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
-        "0123401": [1, 1, 1, 2, 2, 2, 4, 4, 4, 8, 8],
-    }
-    for text, sizes in expected.items():
+    # the prefix recursion is ternary: four- and five-symbol roots are refused
+    for text in ("0123", "01230", "010203", "012301", "0120310", "01234", "0123401"):
         r = parse_word(text, 5)
-        for n, size in enumerate(sizes, start=len(r)):
-            assert recursive_size(r, n) == size, (text, n)
-            assert len(recursive_code(r, n)) == size, (text, n)
-    # ternary cache entries serve the ternary suffixes of a four-symbol root
-    monkeypatch.delenv("TDCODES_CACHE", raising=False)
-    cache = SizeCache(None)
-    for m in range(1, 9):
-        optimal_size(m, cache)
-    assert recursive_size(parse_word("0123", 4), 12, cache) >= 4
+        for fn in (recursive_size, recursive_code):
+            with pytest.raises(UnsupportedRootError):
+                fn(r, len(r) + 6)
+    # a ternary root over large symbol values is its canonical relabeling
+    relabel = bytes.maketrans(bytes((0, 1, 2)), bytes((7, 200, 3)))
+    for text in ("01210", "0102010", "012021", "01202", "0120102", "0120"):
+        canon = w(text)
+        r = canon.translate(relabel)
+        assert canonical_form(r)[0] == canon
+        for n in range(len(r), len(r) + 11):
+            assert recursive_size(r, n) == recursive_size(canon, n), (text, n)
+            code = recursive_code(r, n)
+            assert code.words == {x.translate(relabel) for x in recursive_code(canon, n).words}
 
 
-@pytest.mark.xfail(strict=True, reason="the prefix options can join confusable words over four symbols")
-def test_recursive_code_valid_over_four_symbols():
+def test_recursive_code_rejects_four_symbols():
     from tdcodes import parse_word
 
-    # 0100020210213 and 0102100210213 share the descendant 01000202100210213
-    assert validate_code(recursive_code(parse_word("010213", 4), 13))
+    # over four symbols the prefix options can join confusable words: at
+    # n = 13, 0100020210213 and 0102100210213 share the descendant
+    # 01000202100210213
+    with pytest.raises(UnsupportedRootError, match="more than three symbols"):
+        recursive_code(parse_word("010213", 4), 13)
 
 
 def test_constructions_reject_non_roots():

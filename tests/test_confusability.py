@@ -14,7 +14,6 @@ from tdcodes import (
     compute_label,
     confusable,
     confusable_by_labels,
-    confusable_with_cost,
     count_occurrences,
     count_regions,
     cut_prefix,
@@ -23,8 +22,8 @@ from tdcodes import (
     labels_confusable,
     main_and_region,
     normalize_trace,
-    root_le2,
     root_le3,
+    root_le_k,
     tandem_duplicate,
 )
 from tdcodes.confusability import _expand_step, _peel, _regions, _swap_steps
@@ -172,7 +171,8 @@ def test_prefix_cost_is_linear(rng):
         start = random_ternary(rng, rng.randint(1, 6))
         _, x = random_descendant_steps(rng, start, rng.randint(0, 6))
         _, y = random_descendant_steps(rng, start, rng.randint(0, 6))
-        verdict, cost = confusable_with_cost(x, y)
+        # a full peel of each word bounds what the decision reads per region
+        cost = sum(j - i for z in (x, y) for _, i, j in _table_peel(z))
         assert cost <= 3 * (len(x) + len(y))
 
 
@@ -286,7 +286,7 @@ def _reference_peel(x):
     while len(set(r[:4])) >= 3:
         desc = main_and_region(r)
         p = extended_prefix(desc, x[start:])
-        count = count_occurrences(desc.main, root_le2(p))
+        count = count_occurrences(desc.main, root_le_k(p, 2))
         sign = "+" if count_occurrences(desc.main, p, rotations=True) else "-"
         out.append(((count, sign), start, start + len(p)))
         start += p.rfind(desc.abc[0])
@@ -458,9 +458,7 @@ def test_normalized_three_phase_reaches_le2_root(rng):
             if k < 3:
                 break
             cur = tandem_duplicate(cur, i, k)
-        from tdcodes import root_le2, root_le_k
-
-        assert cur == root_le2(word)
+        assert cur == root_le_k(word, 2)
         cur2 = root
         for i, k in nt.steps:
             if k < 2:

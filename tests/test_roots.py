@@ -3,12 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcodes import (
-    confusable_by_roots,
+    confusable,
     descendant_cone,
     is_irreducible,
     remove_duplicates_pass,
     root_exact_k,
-    root_le2,
     root_le3,
     root_le_k,
     tandem_duplicate,
@@ -64,7 +63,7 @@ def test_pipeline_property():
     roots: dict[bytes, list[bytes]] = {}
     for x in iter_ternary_words(1, 10):
         roots[x] = _pipeline_roots(x)
-        assert roots[x] == [root_le_k(x, 1), root_le2(x), root_le3(x)]
+        assert roots[x] == [root_le_k(x, 1), root_le_k(x, 2), root_le3(x)]
         for k in (1, 2, 3):
             _check_kernel(x, k, lambda j: roots[x[:j]][k - 1])
 
@@ -141,9 +140,12 @@ def test_root_is_ancestor(rng):
 
 
 def test_confusable_by_roots():
-    assert not confusable_by_roots(w("012012"), w("011112"), "le2")
-    assert confusable_by_roots(w("0100"), w("0100"), "le1")
-    assert not confusable_by_roots(w("01012012"), w("012"), "le1")
-    assert confusable_by_roots(w("012012"), w("012"), 3)
-    with pytest.raises(ValueError):
-        confusable_by_roots(w("012"), w("012"), "le3")
+    # for duplications of length exactly k, or at most 1 or 2, two words are
+    # confusable exactly when their roots are equal
+    assert root_le_k(w("012012"), 2) != root_le_k(w("011112"), 2)
+    assert root_le_k(w("0100"), 1) == root_le_k(w("0100"), 1)
+    assert root_le_k(w("01012012"), 1) != root_le_k(w("012"), 1)
+    assert root_exact_k(w("012012"), 3) == root_exact_k(w("012"), 3)
+    # at most 3, equal roots are necessary but not sufficient
+    assert root_le3(w("012012")) == root_le3(w("011112"))
+    assert not confusable(w("012012"), w("011112"))

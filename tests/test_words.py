@@ -6,7 +6,6 @@ from tdcodes import (
     parse_word,
     remove_duplicates_pass,
     render_word,
-    reverse_word,
     tandem_duplicate,
 )
 
@@ -132,11 +131,3 @@ def test_pad_tail():
     assert pad_tail(w("01"), 2) == w("0111")
     with pytest.raises(ValueError):
         pad_tail(b"", 1)
-
-
-def test_reverse():
-    assert reverse_word(w("012")) == w("210")
-    assert reverse_word(w("01210")) == w("01210")
-    assert reverse_word(w("0102")) == w("2010")
-    for x in iter_ternary_words(1, 5):
-        assert reverse_word(reverse_word(x)) == x
