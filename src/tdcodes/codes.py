@@ -11,6 +11,7 @@ Every constructed code can be checked against the confusability decision.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, permutations
 
@@ -195,12 +196,13 @@ def one_region_code(r: Word, n: int) -> Code:
     return Code(n, q, frozenset(words), "one-region")
 
 
-def _prefix_options(r: Word) -> tuple[tuple[int, int, tuple[Word, ...]], ...]:
-    # options (symbols removed from the root, length removed from the code,
-    # prefixes to prepend) for the recursive construction
+def _prefix_options(r: Word) -> tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]:
+    # (symbols removed from the root, options), each option being (length
+    # removed from the code, prefixes to prepend), for the recursive
+    # construction; every option of a root removes the same symbols
     r1, r2, r3 = r[0], r[1], r[2]
     if r1 == r3:
-        return ((1, 1, (r[:1],)),)
+        return 1, ((1, (r[:1],)),)
     if len(r) < 4 or r1 != r[3]:
         two = (bytes((r1, r2, r2, r2)), bytes((r1, r2, r3, r1)))
         three = (
@@ -208,7 +210,7 @@ def _prefix_options(r: Word) -> tuple[tuple[int, int, tuple[Word, ...]], ...]:
             bytes((r1, r2, r2, r3, r3, r1, r1, r2)),
             bytes((r1, r2, r3, r1, r2, r3, r1, r2)),
         )
-        return ((1, 4, two), (1, 8, three))
+        return 1, ((4, two), (8, three))
     if len(r) < 5 or r2 != r[4]:
         two = (bytes((r1, r2, r2, r2, r3)), bytes((r1, r2, r3, r1, r2)))
         three = (
@@ -216,14 +218,14 @@ def _prefix_options(r: Word) -> tuple[tuple[int, int, tuple[Word, ...]], ...]:
             bytes((r1, r2, r2, r3, r3, r1, r1, r2, r2, r3)),
             bytes((r1, r2, r3, r1, r2, r3, r1, r2, r3, r3)),
         )
-        return ((1, 5, two), (1, 10, three))
+        return 1, ((5, two), (10, three))
     two = (bytes((r1, r2, r2, r3, r3, r1)), bytes((r1, r2, r3, r1, r2, r3)))
     three = (
         bytes((r1, r2, r2, r3, r3)) + bytes((r1,)) * 7,
         bytes((r1, r2, r2, r3, r3, r1, r1, r2, r2, r3, r3, r1)),
         bytes((r1, r2, r3, r1, r2, r3, r1, r2, r3, r1, r1, r1)),
     )
-    return ((3, 6, two), (3, 12, three))
+    return 3, ((6, two), (12, three))
 
 
 def _few_regions(r: Word) -> int:
@@ -236,12 +238,31 @@ def _size_table(cache=None):
     # value(rr, nn): best known code size for the canonical root rr at length
     # nn, by the prefix recursion over the padded baseline, with closed forms
     # for zero- and one-region roots.  The value does not depend on how rr is
-    # labeled: _few_regions, one_region_size and the (cut, drop,
-    # len(prefixes)) of _prefix_options depend only on which positions of rr
-    # hold equal symbols, and the size cache is keyed by canonical root.  So
+    # labeled: _few_regions, one_region_size and the cut, drops and prefix
+    # counts of _prefix_options depend only on which positions of rr hold
+    # equal symbols, and the size cache is keyed by canonical root.  So
     # every root, suffix and reversal shares one memo, keyed by canonical
     # word; only the recursive branch is stored, the rest are closed forms.
+    # What the recursion reads of rr does not depend on nn, so shape(rr)
+    # parses each root once: its region count capped at two and, with two,
+    # its canonical tail and (drop, len(prefixes)) per option.  Only four
+    # such step tuples exist, and steps keeps one copy of each.
     memo: dict[tuple[Word, int], int] = {}
+    shapes: dict[Word, tuple[int, Word, tuple[tuple[int, int], ...]]] = {}
+    steps: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+
+    def shape(rr: Word) -> tuple[int, Word, tuple[tuple[int, int], ...]]:
+        got = shapes.get(rr)
+        if got is None:
+            m = _few_regions(rr)
+            if m < 2:
+                got = (m, b"", ())
+            else:
+                cut, options = _prefix_options(rr)
+                step = tuple((drop, len(prefixes)) for drop, prefixes in options)
+                got = (m, canonical_form(rr[cut:])[0], steps.setdefault(step, step))
+            shapes[rr] = got
+        return got
 
     def value(rr: Word, nn: int) -> int:
         if nn < len(rr):
@@ -255,14 +276,14 @@ def _size_table(cache=None):
                 return hit[0]
         if nn <= len(rr) + 2:
             return 1  # every closed form gives 1 this close to the root, too
-        m = _few_regions(rr)
+        m, tail, options = shape(rr)
         if m == 0:
             return 1
         if m == 1:
             return one_region_size(rr, nn)
         best = max(2, value(rr, nn - 1))
-        for cut, drop, prefixes in _prefix_options(rr):
-            best = max(best, len(prefixes) * value(canonical_form(rr[cut:])[0], nn - drop))
+        for drop, count in options:
+            best = max(best, count * value(tail, nn - drop))
         memo[(rr, nn)] = best
         return best
 
@@ -315,9 +336,11 @@ def _materialize(rr: Word, nn: int, value) -> set[Word]:
         return {pad_tail(rr, nn - len(rr))}
     if target == 2:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
-    for cut, drop, prefixes in _prefix_options(rr):
-        tail = rr[cut:]
-        if len(prefixes) * value(canonical_form(tail)[0], nn - drop) == target:
+    cut, options = _prefix_options(rr)
+    tail = rr[cut:]
+    key = canonical_form(tail)[0]
+    for drop, prefixes in options:
+        if len(prefixes) * value(key, nn - drop) == target:
             inner = _materialize(tail, nn - drop, value)
             return {p + w for p in prefixes for w in inner}
     # Unreachable.  With two or more regions and nn > len(rr) + 2,
@@ -401,7 +424,8 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     for root in _iter_canonical_irreducible(targets[-1]):
         _, orbit = canonical_form(root)
         rev, _ = canonical_form(root[::-1])
-        for t in targets:
+        # shorter targets get 0 from this root
+        for t in targets[bisect_left(targets, len(root)) :]:
             totals[t] += orbit * max(value(root, t), value(rev, t))
     return totals
 

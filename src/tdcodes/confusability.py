@@ -13,6 +13,7 @@ labels decide confusability of the underlying words directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .words import Word, check_word, tandem_duplicate
@@ -174,6 +175,29 @@ def _regions(r: Word) -> Iterator[RegionDescriptor]:
         offset += len(desc.reg) - 2
 
 
+def _region_plan(r: Word) -> tuple[tuple[int, Word, Word, Word, int], ...]:
+    # (end depth, main, its two other rotations, a) per region of the root
+    # r, as _regions parses them; the end depth is offset + len(reg), where
+    # offset counts the symbols earlier regions peeled off (see _peel)
+    plan = []
+    offset = 0
+    for desc in _regions(r):
+        main = desc.main
+        plan.append((offset + len(desc.reg), main, main[1:] + main[:1], main[2:] + main[:2], desc.a))
+        offset += len(desc.reg) - 2
+    return tuple(plan)
+
+
+# Plans of roots up to _PLAN_CACHE_ROOT_MAX symbols are cached, as many as
+# every root of the length-20 label sweep (4,615 canonical roots) needs.
+# A plan takes about 80 bytes per root symbol, so longer roots are not
+# cached; building one reads no more than the root pass over a word with
+# that root.
+_PLAN_CACHE_SIZE = 1 << 13
+_PLAN_CACHE_ROOT_MAX = 32
+_cached_region_plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_region_plan)
+
+
 def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
     # ((count, sign), start, end) per region of the root r of x, where
     # last is the depth table of x (roots.root_le3_depths).  x[start:end] is
@@ -201,16 +225,15 @@ def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], 
     # x[i:] both fall after j1 and coincide; round 1 applied to x[i:] gives
     # the round's end as last[len(T) + len(reg)], and by induction so on
     # for every round.
-    start = offset = 0
-    for desc in _regions(r):
-        end = last[offset + len(desc.reg)]
+    plan = _cached_region_plan(r) if len(r) <= _PLAN_CACHE_ROOT_MAX else _region_plan(r)
+    start = 0
+    for depth, main, rot1, rot2, a in plan:
+        end = last[depth]
         p = x[start:end]
-        main = desc.main
         count = count_occurrences(main, root_le_k(p, 2))
-        sign = "+" if count_occurrences(main, p, rotations=True) else "-"
+        sign = "+" if main in p or rot1 in p or rot2 in p else "-"
         yield (count, sign), start, end
-        start += p.rfind(desc.abc[0])
-        offset += len(desc.reg) - 2
+        start += p.rfind(a)
 
 
 def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
@@ -238,6 +261,20 @@ def confusable(x: Word, y: Word) -> bool:
     return True
 
 
+def _root_text(root: Word) -> str:
+    # one digit per symbol, or comma-separated once a symbol needs two
+    # digits; a one-symbol root then keeps a trailing comma
+    if max(root, default=0) < 10:
+        return "".join(str(v) for v in root)
+    return ",".join(str(v) for v in root) + ("," if len(root) == 1 else "")
+
+
+def _parse_root(text: str) -> Word:
+    if "," in text:
+        return bytes(int(v) for v in text.split(",") if v)
+    return bytes(int(ch) for ch in text)
+
+
 @dataclass(frozen=True, order=True)
 class Label:
     """Per-region fingerprint deciding confusability within one root's cone.
@@ -252,21 +289,12 @@ class Label:
     entries: tuple[tuple[int, str], ...]
 
     def text(self) -> str:
-        # one digit per symbol, or comma-separated once a symbol needs two
-        # digits; a one-symbol root then keeps a trailing comma
-        if max(self.root, default=0) < 10:
-            root = "".join(str(v) for v in self.root)
-        else:
-            root = ",".join(str(v) for v in self.root) + ("," if len(self.root) == 1 else "")
-        return root + ":" + "".join(f"({c},{s})" for c, s in self.entries)
+        return _root_text(self.root) + ":" + "".join(f"({c},{s})" for c, s in self.entries)
 
     @classmethod
     def parse(cls, text: str) -> "Label":
         root_part, _, body = text.partition(":")
-        if "," in root_part:
-            root = bytes(int(v) for v in root_part.split(",") if v)
-        else:
-            root = bytes(int(ch) for ch in root_part)
+        root = _parse_root(root_part)
         entries = []
         for piece in body.split(")"):
             piece = piece.strip("(")

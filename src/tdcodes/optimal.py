@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .words import Word
-from .confusability import Label, compute_label, labels_confusable
+from .confusability import Label, _parse_root, _root_text, compute_label, labels_confusable
 from .oracle import _walk, enumerate_labels, canonical_form
 
 __all__ = [
@@ -140,9 +140,10 @@ class SizeCache:
     """Persistent store of exact per-root optimal sizes.
 
     Line format: ``canonical_root<TAB>n<TAB>size<TAB>witness-labels`` with
-    the witness labels ";"-joined.  The file is append-only; on load the
-    last entry for a key wins, and every line's witness must hold ``size``
-    labels of its root, pairwise non-confusable.
+    the root written as in a label and the witness labels ";"-joined.  The
+    file is append-only; on load the last entry for a key wins, and every
+    line's witness must hold ``size`` labels of its root, pairwise
+    non-confusable.
     """
 
     def __init__(self, path: str | None = None):
@@ -161,7 +162,7 @@ class SizeCache:
                     continue
                 try:
                     root_text, n_text, size_text, witness_text = line.split("\t")
-                    root = bytes(int(ch) for ch in root_text)
+                    root = _parse_root(root_text)
                     witness = tuple(
                         Label.parse(piece) for piece in witness_text.split(";") if piece
                     )
@@ -182,7 +183,7 @@ class SizeCache:
         if self.path:
             line = "\t".join(
                 (
-                    "".join(str(s) for s in root),
+                    _root_text(root),
                     str(n),
                     str(size),
                     ";".join(label.text() for label in witness),
@@ -195,8 +196,8 @@ class SizeCache:
         return len(self._mem)
 
 
-def labels_by_root(n: int, q: int = 3) -> dict[Word, set[Label]]:
-    """Labels of every canonical length-``n`` word, grouped by its root.
+def labels_by_root(n: int) -> dict[Word, set[Label]]:
+    """Labels of every canonical length-``n`` ternary word, grouped by its root.
 
     Descendants of a canonical root are exactly the canonical members of
     its cone, so one sweep over canonical words covers every root's label
@@ -204,7 +205,7 @@ def labels_by_root(n: int, q: int = 3) -> dict[Word, set[Label]]:
     """
     buckets: dict[Word, set[Label]] = {}
     # canonical words: symbols first occur in the order 0, 1, 2
-    for w in _walk(n, n, q, 0, canonical=True):
+    for w in _walk(n, n, 3, 0, canonical=True):
         label = compute_label(w)
         buckets.setdefault(label.root, set()).add(label)
     return buckets
@@ -216,8 +217,12 @@ def optimal_size_for_root(
     cache: SizeCache | None = None,
     budget: int = 2_000_000,
 ) -> int:
-    """Exact optimal code size within the cone of ``r`` at length ``n``."""
-    canon, _ = canonical_form(r)
+    """Exact optimal code size within the cone of ``r`` at length ``n``.
+
+    The cone, its labels and the clique need no alphabet bound, so ``r``
+    is relabeled over its own symbols.
+    """
+    canon, _ = canonical_form(r, len(set(r)))
     if cache is not None:
         hit = cache.get(canon, n)
         if hit is not None:

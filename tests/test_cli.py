@@ -106,6 +106,9 @@ def test_bounds_and_optimal_commands(capsys):
     assert code == 0 and out.strip() == "39"
     code, out, _ = run(capsys, "optimal", "--n", "9", "--root", "012")
     assert code == 0 and out.strip() == "2"
+    # the cone search needs no alphabet bound: a four-symbol root works
+    code, out, _ = run(capsys, "--q", "4", "optimal", "--root", "0123", "--n", "7")
+    assert code == 0 and out.strip() == "2"
 
 
 def test_table_command(capsys):

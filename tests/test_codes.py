@@ -5,6 +5,7 @@ from tdcodes import (
     ONE_REGION_PATTERNS,
     UnsupportedRootError,
     assemble_lower_bound,
+    assemble_lower_bounds,
     compute_label,
     count_regions,
     find_confusable_pair,
@@ -191,6 +192,15 @@ def test_assemble_lower_bound_small():
     assert assemble_lower_bound(1)[0] == 3
     assert assemble_lower_bound(5)[0] == 69
     assert assemble_lower_bound(6)[0] == 117
+
+
+def test_assemble_lower_bounds_without_cache():
+    # the table's lower column for n = 1..24 with no size cache
+    lower = [
+        3, 9, 21, 39, 69, 117, 195, 315, 489, 747, 1143, 1749,
+        2655, 4005, 6009, 9003, 13491, 20139, 29955, 44397, 65829, 97569, 144351, 213375,
+    ]
+    assert assemble_lower_bounds(range(1, 25)) == dict(enumerate(lower, start=1))
 
 
 def test_assemble_lower_bound_monotone():

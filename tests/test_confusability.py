@@ -195,6 +195,17 @@ def test_label_text_roundtrip():
     assert compute_label(bytes((10, 11, 12, 11, 10, 12))).text() == "10,11,12,11,10,12:(1,+)(1,+)"
 
 
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_label_text_roundtrip_over_byte_alphabets(data):
+    alphabet = data.draw(
+        st.lists(st.integers(0, 255), min_size=2, max_size=256, unique=True), label="alphabet"
+    )
+    x = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=40), label="x"))
+    label = compute_label(x)
+    assert Label.parse(label.text()) == label
+
+
 def test_labels_confusable():
     plus = Label(w("01210"), ((1, "+"), (2, "+")))
     swapped = Label(w("01210"), ((2, "+"), (1, "+")))

@@ -10,6 +10,7 @@ from tdcodes import (
     LabelGraph,
     build_graph,
     compute_label,
+    confusable,
     descendant_cone,
     enumerate_labels,
     graph_from_labels,
@@ -145,9 +146,31 @@ def test_optimal_size_small_lengths():
 
 
 def test_labels_by_root_matches_cone_enumeration():
-    buckets = labels_by_root(8)
-    for root in ("012", "0120", "01210", "0102"):
-        assert buckets[w(root)] == enumerate_labels(w(root), 8)
+    # the sweep and the cone reach each root's words independently; only
+    # the per-root region plans behind compute_label are shared
+    buckets = labels_by_root(10)
+    assert len(buckets) == 98
+    for root, labels in buckets.items():
+        assert labels == enumerate_labels(root, 10), root
+
+
+@pytest.mark.parametrize(
+    "root, n, size", [("0123", 7, 2), ("0123", 8, 3), ("01023", 8, 2), ("01230", 9, 4)]
+)
+def test_optimal_size_for_root_over_more_than_three_symbols(root, n, size):
+    # the label route against a brute-force clique on the cone's words
+    nx = pytest.importorskip("networkx")
+    r = bytes(map(int, root))
+    words = sorted(descendant_cone(r, n).by_length[n])
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(words)))
+    graph.add_edges_from(
+        (i, j)
+        for i, j in itertools.combinations(range(len(words)), 2)
+        if not confusable(words[i], words[j])
+    )
+    assert nx.max_weight_clique(graph, weight=None)[1] == size
+    assert optimal_size_for_root(r, n) == size
 
 
 def test_size_cache_roundtrip(tmp_path):
@@ -180,6 +203,15 @@ def test_size_cache_writes_only_loadable_lines(tmp_path):
             cache.put(w("012"), 11, size, witness)
         assert cache.get(w("012"), 11) is None
     assert path.read_text(encoding="utf-8") == text
+
+
+def test_size_cache_roundtrip_over_eleven_symbols(tmp_path):
+    # a root with two-digit symbols is written comma-separated, as in labels
+    path = tmp_path / "cache.tsv"
+    root = bytes(range(11))
+    size = optimal_size_for_root(root, 12, cache=SizeCache(str(path)))
+    assert path.read_text(encoding="utf-8").startswith("0,1,2,3,4,5,6,7,8,9,10\t12\t")
+    assert SizeCache(str(path)).get(root, 12)[0] == size
 
 
 def test_optimal_size_uses_cache(tmp_path):
