@@ -118,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--optimal-up-to", type=int, default=0)
 
-    p = sub.add_parser("verify", help="re-derive the bundled reference fixtures")
-    p.add_argument("--n-max", type=int, default=20)
+    sub.add_parser("verify", help="re-derive the bundled reference fixtures")
 
     return parser
 
@@ -243,7 +242,7 @@ def _run(args) -> int:
     elif args.command == "table":
         _run_table(args)
     elif args.command == "verify":
-        report = verify_fixtures(n_max=args.n_max)
+        report = verify_fixtures()
         for name, ok, detail in report:
             print(f"{'PASS' if ok else 'FAIL'}\t{name}\t{detail}")
         if not all(ok for _, ok, _ in report):
@@ -297,20 +296,21 @@ def _fixture_lines(name: str) -> list[str]:
     return ref.read_text(encoding="utf-8").splitlines()
 
 
-def verify_fixtures(n_max: int = 20) -> list[tuple[str, bool, str]]:
+def verify_fixtures() -> list[tuple[str, bool, str]]:
     """Re-derive the bundled reference values; returns (name, ok, detail) rows.
 
-    Checks the reference table's constr1 column (cumulative irreducible
-    counts) on every row, its eq1 and prop4 columns (the refined and le-2
-    upper bounds) for n <= ``n_max``, and every worked example.  The
-    table's lower and optimal columns are not checked.
+    Checks the reference table's constr1, eq1 and prop4 columns (cumulative
+    irreducible counts, the refined and the le-2 upper bounds) on every
+    row, and every worked example.  The table's lower and optimal columns
+    are not checked.
     """
     report: list[tuple[str, bool, str]] = []
 
     lines = _fixture_lines("reference_table.tsv")
     header = lines[0].split("\t")
     rows = [dict(zip(header, ln.split("\t"))) for ln in lines[1:] if ln.strip()]
-    counts3 = irreducible_counts(max(int(r["n"]) for r in rows), 3, 3)
+    n_max = max(int(r["n"]) for r in rows)
+    counts3 = irreducible_counts(n_max, 3, 3)
     cumulative = 0
     constr1_ok = eq1_ok = prop4_ok = True
     detail = []
@@ -320,13 +320,12 @@ def verify_fixtures(n_max: int = 20) -> list[tuple[str, bool, str]]:
         if cumulative != int(row["constr1"]):
             constr1_ok = False
             detail.append(f"constr1@{n}")
-        if n <= n_max:
-            if refined_upper_bound(n) != int(row["eq1"]):
-                eq1_ok = False
-                detail.append(f"eq1@{n}")
-            if le2_upper_bound(n) != int(row["prop4"]):
-                prop4_ok = False
-                detail.append(f"prop4@{n}")
+        if refined_upper_bound(n) != int(row["eq1"]):
+            eq1_ok = False
+            detail.append(f"eq1@{n}")
+        if le2_upper_bound(n) != int(row["prop4"]):
+            prop4_ok = False
+            detail.append(f"prop4@{n}")
     report.append(("table.constr1", constr1_ok, "cumulative irreducible counts"))
     report.append(("table.eq1", eq1_ok, f"refined upper bound, n<={n_max}"))
     report.append(("table.prop4", prop4_ok, f"le2 upper bound, n<={n_max}"))

@@ -5,7 +5,9 @@ under duplications of length at most three.  Constructions here cover:
 padded irreducible words, an optimal two-word code three symbols past any
 root, the complete one-region family with its closed-form size, and a
 recursive prefix construction that extends codes for shorter ternary roots.
-Every constructed code can be checked against the confusability decision.
+The one-region families and the prefix options are pattern tables over
+0, 1, 2, relabeled onto each root by one ``bytes.maketrans``.  Every
+constructed code can be checked against the confusability decision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .words import Word, check_word, is_irreducible, pad_tail, render_word, parse_word
+from .words import Word, check_word, is_irreducible, pad_tail, render_word
 from .confusability import _regions, confusable, main_and_region
 from .oracle import _walk, enumerate_irreducible, canonical_form
 from .roots import root_le3
@@ -36,9 +38,7 @@ __all__ = [
     "assemble_lower_bound",
     "assemble_lower_bounds",
     "code_to_text",
-    "code_from_text",
     "code_to_json",
-    "code_from_json",
 ]
 
 
@@ -138,18 +138,16 @@ def one_region_words(pattern: Word, ell: int) -> tuple[Word, Word]:
     return x_word, z_word
 
 
-def _one_region_base(r: Word) -> tuple[Word, dict[int, int]]:
-    # normalize an arbitrary one-region root onto its 012 pattern; returns
-    # the pattern and the relabeling pattern-symbol -> actual symbol
+def _one_region_base(r: Word) -> tuple[Word, bytes]:
+    # the 012 pattern of a one-region root and the table relabeling it onto
+    # r; the round trip must give r back, since a symbol outside the leading
+    # triple (the 0 of 5790) translates to itself on the way to the pattern
     t = main_and_region(r).main
-    inv = {t[0]: 0, t[1]: 1, t[2]: 2}
-    try:
-        base = bytes(inv[s] for s in r)
-    except KeyError as exc:
-        raise UnsupportedRootError(f"{r!r} uses symbols outside its leading triple") from exc
-    if base not in _ONE_REGION_TABLE:
+    base = r.translate(bytes.maketrans(t, b"\0\1\2"))
+    table = bytes.maketrans(b"\0\1\2", t)
+    if base not in _ONE_REGION_TABLE or base.translate(table) != r:
         raise UnsupportedRootError(f"{r!r} is not a one-region root")
-    return base, {0: t[0], 1: t[1], 2: t[2]}
+    return base, table
 
 
 def one_region_size(r: Word, n: int) -> int:
@@ -157,75 +155,56 @@ def one_region_size(r: Word, n: int) -> int:
     base, _ = _one_region_base(r)
     if n < len(r):
         return 0
-    n2 = len(one_region_words(base, 2)[0])
-    if n >= n2:
-        return (n - n2) // 6 + 3
-    if n >= len(r) + 3:
-        return 2
-    return 1
+    if n < len(r) + 3:
+        return 1
+    # x_1 fits from len(r) + 3 on, and one more x_l fits every six symbols
+    return (n - len(one_region_words(base, 1)[0])) // 6 + 2
 
 
 def one_region_code(r: Word, n: int) -> Code:
-    """The optimal code for a one-region root ``r`` at length ``n``."""
+    """The optimal code for a one-region root ``r`` at length ``n``: the padded
+    root below ``len(r) + 3``, from there on x_1, ..., x_L and one z word."""
     check_word(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    base, relabel = _one_region_base(r)
-    table = bytes(relabel.get(v, v) for v in range(256))
-    n2 = len(one_region_words(base, 2)[0])
-    ell_z = (n - len(r)) // 3 + 1
-    words: set[Word] = set()
-    if n >= n2:
-        ell = 1
-        while True:
-            x_word = one_region_words(base, ell)[0]
-            if len(x_word) > n:
-                break
-            words.add(pad_tail(x_word.translate(table), n - len(x_word)))
-            ell += 1
-        z_word = one_region_words(base, ell_z)[1]
-        words.add(pad_tail(z_word.translate(table), n - len(z_word)))
-    elif n >= len(r) + 3:
-        x_word = one_region_words(base, 1)[0]
-        z_word = one_region_words(base, ell_z)[1]
-        words.add(pad_tail(x_word.translate(table), n - len(x_word)))
-        words.add(pad_tail(z_word.translate(table), n - len(z_word)))
-    else:
-        words.add(pad_tail(r, n - len(r)))
+    base, table = _one_region_base(r)
+    words = {r}
+    if n >= len(r) + 3:
+        words = {one_region_words(base, ell)[0] for ell in range(1, one_region_size(r, n))}
+        words.add(one_region_words(base, (n - len(r)) // 3 + 1)[1])
+        words = {x.translate(table) for x in words}
     q = max(3, max(r) + 1)
-    return Code(n, q, frozenset(words), "one-region")
+    return Code(n, q, frozenset(pad_tail(x, n - len(x)) for x in words), "one-region")
 
 
-def _prefix_options(r: Word) -> tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]:
-    # (symbols removed from the root, options), each option being (length
-    # removed from the code, prefixes to prepend), for the recursive
-    # construction; every option of a root removes the same symbols
-    r1, r2, r3 = r[0], r[1], r[2]
-    if r1 == r3:
-        return 1, ((1, (r[:1],)),)
-    if len(r) < 4 or r1 != r[3]:
-        two = (bytes((r1, r2, r2, r2)), bytes((r1, r2, r3, r1)))
-        three = (
-            bytes((r1,)) + bytes((r2,)) * 7,
-            bytes((r1, r2, r2, r3, r3, r1, r1, r2)),
-            bytes((r1, r2, r3, r1, r2, r3, r1, r2)),
-        )
-        return 1, ((4, two), (8, three))
-    if len(r) < 5 or r2 != r[4]:
-        two = (bytes((r1, r2, r2, r2, r3)), bytes((r1, r2, r3, r1, r2)))
-        three = (
-            bytes((r1, r2, r2)) + bytes((r3,)) * 7,
-            bytes((r1, r2, r2, r3, r3, r1, r1, r2, r2, r3)),
-            bytes((r1, r2, r3, r1, r2, r3, r1, r2, r3, r3)),
-        )
-        return 1, ((5, two), (10, three))
-    two = (bytes((r1, r2, r2, r3, r3, r1)), bytes((r1, r2, r3, r1, r2, r3)))
-    three = (
-        bytes((r1, r2, r2, r3, r3)) + bytes((r1,)) * 7,
-        bytes((r1, r2, r2, r3, r3, r1, r1, r2, r2, r3, r3, r1)),
-        bytes((r1, r2, r3, r1, r2, r3, r1, r2, r3, r1, r1, r1)),
+# The paper's prefix options for a root with two or more regions, written
+# over 0, 1, 2 for the root's first three symbols.  Per case: (symbols cut
+# from the root, options), each option being (length dropped from the
+# code, prefixes put in front of each word of the code for the cut root at
+# the shorter length).  Every prefix of an option is as long as the length
+# it drops.
+_PREFIX_CASES: tuple[tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]], ...] = tuple(
+    (cut, tuple((len(group[0]), tuple(bytes(map(int, p)) for p in group)) for group in groups))
+    for cut, groups in (
+        (1, (("0",),)),
+        (1, (("0111", "0120"), ("01111111", "01122001", "01201201"))),
+        (1, (("01112", "01201"), ("0112222222", "0112200112", "0120120122"))),
+        (3, (("011220", "012012"), ("011220000000", "011220011220", "012012012000"))),
     )
-    return 3, ((6, two), (12, three))
+)
+
+
+def _prefix_case(r: Word) -> tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]:
+    # the entry of _PREFIX_CASES for r, read off its first five symbols
+    # r1..r5: r1 = r3; r1 != r4; r2 != r5; otherwise.  A missing position
+    # compares as different.
+    if r[0] == r[2]:
+        return _PREFIX_CASES[0]
+    if r[:1] != r[3:4]:
+        return _PREFIX_CASES[1]
+    if r[1:2] != r[4:5]:
+        return _PREFIX_CASES[2]
+    return _PREFIX_CASES[3]
 
 
 def _few_regions(r: Word) -> int:
@@ -238,29 +217,25 @@ def _size_table(cache=None):
     # value(rr, nn): best known code size for the canonical root rr at length
     # nn, by the prefix recursion over the padded baseline, with closed forms
     # for zero- and one-region roots.  The value does not depend on how rr is
-    # labeled: _few_regions, one_region_size and the cut, drops and prefix
-    # counts of _prefix_options depend only on which positions of rr hold
-    # equal symbols, and the size cache is keyed by canonical root.  So
-    # every root, suffix and reversal shares one memo, keyed by canonical
-    # word; only the recursive branch is stored, the rest are closed forms.
-    # What the recursion reads of rr does not depend on nn, so shape(rr)
-    # parses each root once: its region count capped at two and, with two,
-    # its canonical tail and (drop, len(prefixes)) per option.  Only four
-    # such step tuples exist, and steps keeps one copy of each.
+    # labeled: _few_regions, one_region_size and the case _prefix_case picks
+    # depend only on which positions of rr hold equal symbols, and the size
+    # cache is keyed by canonical root.  So every root, suffix and reversal
+    # shares one memo, keyed by canonical word; only the recursive branch is
+    # stored, the rest are closed forms.  What the recursion reads of rr does
+    # not depend on nn, so shape(rr) parses each root once: its region count
+    # capped at two and, with two, its canonical tail and its case's options.
     memo: dict[tuple[Word, int], int] = {}
-    shapes: dict[Word, tuple[int, Word, tuple[tuple[int, int], ...]]] = {}
-    steps: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    shapes: dict[Word, tuple[int, Word, tuple]] = {}
 
-    def shape(rr: Word) -> tuple[int, Word, tuple[tuple[int, int], ...]]:
+    def shape(rr: Word) -> tuple[int, Word, tuple]:
         got = shapes.get(rr)
         if got is None:
             m = _few_regions(rr)
             if m < 2:
                 got = (m, b"", ())
             else:
-                cut, options = _prefix_options(rr)
-                step = tuple((drop, len(prefixes)) for drop, prefixes in options)
-                got = (m, canonical_form(rr[cut:])[0], steps.setdefault(step, step))
+                cut, options = _prefix_case(rr)
+                got = (m, canonical_form(rr[cut:])[0], options)
             shapes[rr] = got
         return got
 
@@ -282,8 +257,8 @@ def _size_table(cache=None):
         if m == 1:
             return one_region_size(rr, nn)
         best = max(2, value(rr, nn - 1))
-        for drop, count in options:
-            best = max(best, count * value(tail, nn - drop))
+        for drop, prefixes in options:
+            best = max(best, len(prefixes) * value(tail, nn - drop))
         memo[(rr, nn)] = best
         return best
 
@@ -302,7 +277,7 @@ def _sizes(value, r: Word, n: int) -> tuple[int, int]:
 
 
 def _check_ternary_root(r: Word) -> None:
-    # _prefix_options is the paper's ternary construction; over four or more
+    # _PREFIX_CASES is the paper's ternary construction; over four or more
     # symbols it can pair confusable words
     check_word(r)
     if not is_irreducible(r, 3):
@@ -327,22 +302,20 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
 
 def _materialize(rr: Word, nn: int, value) -> set[Word]:
     target = value(canonical_form(rr)[0], nn)
-    m = _few_regions(rr)
-    if m == 0 or target <= 1:
+    if target <= 1:  # zero-region roots always land here
         return {pad_tail(rr, nn - len(rr))}
-    if m == 1:
+    if _few_regions(rr) == 1:
         return set(one_region_code(rr, nn).words)
-    if nn <= len(rr) + 2:
-        return {pad_tail(rr, nn - len(rr))}
     if target == 2:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
-    cut, options = _prefix_options(rr)
+    cut, options = _prefix_case(rr)
     tail = rr[cut:]
     key = canonical_form(tail)[0]
+    relabel = bytes.maketrans(b"\0\1\2", rr[:3])
     for drop, prefixes in options:
         if len(prefixes) * value(key, nn - drop) == target:
             inner = _materialize(tail, nn - drop, value)
-            return {p + w for p in prefixes for w in inner}
+            return {p.translate(relabel) + w for p in prefixes for w in inner}
     # Unreachable.  With two or more regions and nn > len(rr) + 2,
     # value(rr, nn) = max(2, value(rr, nn - 1), options(nn)) where each
     # option is len(prefixes) * value(tail, nn - drop).  value is
@@ -442,33 +415,17 @@ def assemble_lower_bound(n: int, cache=None) -> tuple[int, Code]:
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
         best = _recursive_words(root, n, value)
-        for perm in _symbol_injections(root):
-            words |= {x.translate(perm) for x in best}
+        d = len(set(root))
+        for image in permutations(b"\0\1\2", d):
+            relabel = bytes.maketrans(bytes(range(d)), bytes(image))
+            words |= {x.translate(relabel) for x in best}
     return total, Code(n, 3, frozenset(words), "assembled")
-
-
-def _symbol_injections(root: Word):
-    d = len(set(root))
-    for image in permutations(range(3), d):
-        table = bytearray(range(256))
-        for v, t in zip(range(d), image):
-            table[v] = t
-        yield bytes(table)
 
 
 def code_to_text(code: Code) -> str:
     lines = [f"{code.n} {code.q} {len(code.words)} {code.provenance}"]
     lines += [render_word(w, code.q) for w in code.sorted_words()]
     return "\n".join(lines) + "\n"
-
-
-def code_from_text(text: str) -> Code:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, q, size, provenance = lines[0].split(maxsplit=3)
-    words = frozenset(parse_word(ln, int(q)) for ln in lines[1:])
-    if len(words) != int(size):
-        raise ValueError(f"header claims {size} words, file has {len(words)}")
-    return Code(int(n), int(q), words, provenance)
 
 
 def code_to_json(code: Code) -> str:
@@ -481,9 +438,3 @@ def code_to_json(code: Code) -> str:
             "words": [render_word(w, code.q) for w in code.sorted_words()],
         }
     )
-
-
-def code_from_json(text: str) -> Code:
-    data = json.loads(text)
-    words = frozenset(parse_word(w, data["q"]) for w in data["words"])
-    return Code(data["n"], data["q"], words, data["provenance"])

@@ -67,14 +67,6 @@ class RegionDescriptor:
     def a(self) -> int:
         return self.abc[0]
 
-    @property
-    def b(self) -> int:
-        return self.abc[1]
-
-    @property
-    def c(self) -> int:
-        return self.abc[2]
-
 
 def main_and_region(r: Word) -> RegionDescriptor:
     """Parse the first region of an irreducible word ``r``.
@@ -149,18 +141,15 @@ def cut_prefix(r: Word, x: Word) -> Word:
     return p[: p.rfind(desc.abc[0])]
 
 
-def count_occurrences(t: Word, x: Word, rotations: bool = False) -> int:
+def count_occurrences(t: Word, x: Word) -> int:
     """Count factor occurrences of the distinct triple ``t`` in ``x``.
 
-    With ``rotations`` the three cyclic rotations of ``t`` are all counted.
     Occurrences of a triple with pairwise-distinct symbols cannot overlap
     themselves, so ``bytes.count`` already counts every occurrence.
     """
     if len(t) != 3 or len(set(t)) != 3:
         raise ValueError(f"pattern must be three pairwise-distinct symbols, got {t!r}")
-    if not rotations:
-        return x.count(t)
-    return x.count(t) + x.count(t[1:] + t[:1]) + x.count(t[2:] + t[:2])
+    return x.count(t)
 
 
 def _regions(r: Word) -> Iterator[RegionDescriptor]:

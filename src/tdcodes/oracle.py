@@ -205,11 +205,7 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
         raise ValueError(f"{r!r} is not irreducible, so it is not a root")
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    by_length: dict[int, set[Word]] = {len(r): {r}}
-    total = 1
-    for length in range(len(r), n + 1):
-        total = _expand_cone(by_length, length, n, budget, total)
-    return {compute_label(w) for w in by_length.get(n, ())}
+    return {compute_label(w) for w in descendant_cone(r, n, budget).by_length.get(n, ())}
 
 
 def canonical_form(x: Word, q: int = 3) -> tuple[Word, int]:

@@ -143,8 +143,12 @@ def test_deterministic_output(capsys):
 
 
 def test_verify_fixtures_small():
-    report = verify_fixtures(n_max=10)
+    report = verify_fixtures()
     assert all(ok for _, ok, _ in report), report
+    # the eq1 and prop4 columns are checked on all 30 rows of the fixture
+    details = {name: detail for name, _, detail in report}
+    assert details["table.eq1"] == "refined upper bound, n<=30"
+    assert details["table.prop4"] == "le2 upper bound, n<=30"
 
 
 def test_verify_without_asserts(tmp_path):
@@ -187,8 +191,15 @@ def test_verify_without_asserts(tmp_path):
 
 
 def test_json_code_roundtrip(capsys):
-    from tdcodes.codes import code_from_json, one_region_code
-    from tdcodes import parse_word
+    from tdcodes.codes import one_region_code
+    from tdcodes import parse_word, render_word
 
     code, out, _ = run(capsys, "--format", "json", "code", "one-region", "--root", "012", "--n", "10")
-    assert code_from_json(out) == one_region_code(parse_word("012"), 10)
+    want = one_region_code(parse_word("012"), 10)
+    assert json.loads(out) == {
+        "n": want.n,
+        "q": want.q,
+        "size": len(want),
+        "provenance": want.provenance,
+        "words": [render_word(x) for x in want.sorted_words()],
+    }

@@ -19,7 +19,6 @@ from tdcodes import (
     recursive_size,
     validate_code,
 )
-from tdcodes.codes import code_from_json, code_from_text, code_to_json, code_to_text
 
 from conftest import w
 
@@ -98,12 +97,30 @@ def test_one_region_code_valid_all_patterns():
 
 
 def test_one_region_relabeled_roots():
+    from itertools import permutations
+
+    from tdcodes import parse_word
+
     # 0102 is the first-occurrence relabeling of the pattern 1012
     code = one_region_code(w("0102"), 8)
     assert validate_code(code)
     assert len(code) == one_region_size(w("0102"), 8)
-    with pytest.raises(UnsupportedRootError):
-        one_region_code(w("01210"), 8)  # two regions
+    # every injection of a pattern onto (5, 7, 9) relabels its code
+    for pattern in ONE_REGION_PATTERNS:
+        for image in permutations((5, 7, 9)):
+            relabel = bytes.maketrans(bytes((0, 1, 2)), bytes(image))
+            r = pattern.translate(relabel)
+            for n in range(len(r), 41):
+                code = one_region_code(r, n)
+                assert len(code) == one_region_size(r, n), (r, n)
+                want = {x.translate(relabel) for x in one_region_code(pattern, n).words}
+                assert code.words == want, (r, n)
+    # 5790 relabels onto the pattern 0120 only if its last 0 is taken for a 5
+    for text in ("5790", "0123", "01210"):
+        r = parse_word(text, 10)
+        for fn in (one_region_size, one_region_code):
+            with pytest.raises(UnsupportedRootError):
+                fn(r, len(r) + 6)
 
 
 def test_recursive_code_and_size():
@@ -213,12 +230,6 @@ def test_assemble_lower_bound_materialized():
     assert code is not None
     assert len(code.words) == total
     assert validate_code(code)
-
-
-def test_code_text_json_roundtrip():
-    code = one_region_code(w("012"), 10)
-    assert code_from_text(code_to_text(code)) == code
-    assert code_from_json(code_to_json(code)) == code
 
 
 def test_recursion_reads_size_cache_across_relabeling_and_reversal(monkeypatch):

@@ -140,9 +140,7 @@ def test_cut_prefix_examples():
 
 def test_count_occurrences():
     assert count_occurrences(w("012"), w("0120120")) == 2
-    assert count_occurrences(w("012"), w("120"), rotations=True) == 1
     assert count_occurrences(w("012"), w("2222")) == 0
-    assert count_occurrences(w("012"), w("012120201"), rotations=True) == 3
     with pytest.raises(ValueError):
         count_occurrences(w("011"), w("0120120"))
 
@@ -298,7 +296,8 @@ def _reference_peel(x):
         desc = main_and_region(r)
         p = extended_prefix(desc, x[start:])
         count = count_occurrences(desc.main, root_le_k(p, 2))
-        sign = "+" if count_occurrences(desc.main, p, rotations=True) else "-"
+        t = desc.main
+        sign = "+" if any(rot in p for rot in (t, t[1:] + t[:1], t[2:] + t[:2])) else "-"
         out.append(((count, sign), start, start + len(p)))
         start += p.rfind(desc.abc[0])
         r = r[len(desc.reg) - 2 :]
