@@ -137,7 +137,7 @@ def _run(args) -> int:
         raise ValueError(f"--q must be between 1 and 256 (symbols are bytes), got {q}")
     if args.command == "root":
         x = parse_word(args.word, q)
-        r = root_exact_k(x, args.exact) if args.exact else root_le_k(x, args.k)
+        r = root_exact_k(x, args.exact) if args.exact is not None else root_le_k(x, args.k)
         _emit(args, {"root": render_word(r, q)}, [render_word(r, q)])
     elif args.command == "confuse":
         x, y = parse_word(args.x, q), parse_word(args.y, q)
@@ -264,7 +264,12 @@ def _build_code(args, q):
         raise ValueError(f"code {args.construction} needs --root")
     r = parse_word(args.root, q)
     if args.construction == "pair":
-        return pair_code(r)
+        code = pair_code(r)
+        if args.n is not None and args.n != code.n:
+            raise ValueError(
+                f"the pair code has the fixed length len(root) + 3 = {code.n}, not {args.n}"
+            )
+        return code
     if args.construction == "one-region":
         if args.n is None:
             raise ValueError("code one-region needs --n")

@@ -177,65 +177,52 @@ def one_region_code(r: Word, n: int) -> Code:
     return Code(n, q, frozenset(pad_tail(x, n - len(x)) for x in words), "one-region")
 
 
-# The paper's prefix options for a root with two or more regions, written
-# over 0, 1, 2 for the root's first three symbols.  Per case: (symbols cut
-# from the root, options), each option being (length dropped from the
-# code, prefixes put in front of each word of the code for the cut root at
-# the shorter length).  Every prefix of an option is as long as the length
-# it drops.
-_PREFIX_CASES: tuple[tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]], ...] = tuple(
-    (cut, tuple((len(group[0]), tuple(bytes(map(int, p)) for p in group)) for group in groups))
-    for cut, groups in (
-        (1, (("0",),)),
-        (1, (("0111", "0120"), ("01111111", "01122001", "01201201"))),
-        (1, (("01112", "01201"), ("0112222222", "0112200112", "0120120122"))),
-        (3, (("011220", "012012"), ("011220000000", "011220011220", "012012012000"))),
+# The paper's prefix options for a root with two or more regions, keyed by
+# the canonical first region main_and_region parses and written over 0, 1, 2
+# for the root's first three symbols; the three aba... regions share one
+# case.  Per case: (symbols cut from the root, options), each option being
+# (length dropped from the code, prefixes put in front of each word of the
+# code for the cut root at the shorter length).  Every prefix of an option
+# is as long as the length it drops.
+_PREFIX_CASES: dict[Word, tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]] = {
+    bytes(map(int, reg)): (
+        cut,
+        tuple((len(group[0]), tuple(bytes(map(int, p)) for p in group)) for group in groups),
     )
-)
-
-
-def _prefix_case(r: Word) -> tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]:
-    # the entry of _PREFIX_CASES for r, read off its first five symbols
-    # r1..r5: r1 = r3; r1 != r4; r2 != r5; otherwise.  A missing position
-    # compares as different.
-    if r[0] == r[2]:
-        return _PREFIX_CASES[0]
-    if r[:1] != r[3:4]:
-        return _PREFIX_CASES[1]
-    if r[1:2] != r[4:5]:
-        return _PREFIX_CASES[2]
-    return _PREFIX_CASES[3]
-
-
-def _few_regions(r: Word) -> int:
-    # region count of r capped at 2: the prefix recursion only tells apart
-    # zero, one, and two or more regions
-    return sum(1 for _ in islice(_regions(r), 2))
+    for regs, cut, groups in (
+        (("0102", "01021", "010210"), 1, (("0",),)),
+        (("012",), 1, (("0111", "0120"), ("01111111", "01122001", "01201201"))),
+        (("0120",), 1, (("01112", "01201"), ("0112222222", "0112200112", "0120120122"))),
+        (("01201",), 3, (("011220", "012012"), ("011220000000", "011220011220", "012012012000"))),
+    )
+    for reg in regs
+}
 
 
 def _size_table(cache=None):
-    # value(rr, nn): best known code size for the canonical root rr at length
-    # nn, by the prefix recursion over the padded baseline, with closed forms
-    # for zero- and one-region roots.  The value does not depend on how rr is
-    # labeled: _few_regions, one_region_size and the case _prefix_case picks
-    # depend only on which positions of rr hold equal symbols, and the size
-    # cache is keyed by canonical root.  So every root, suffix and reversal
-    # shares one memo, keyed by canonical word; only the recursive branch is
-    # stored, the rest are closed forms.  What the recursion reads of rr does
-    # not depend on nn, so shape(rr) parses each root once: its region count
-    # capped at two and, with two, its canonical tail and its case's options.
+    # (value, shape) over canonical roots.  value(rr, nn): best known code
+    # size for rr at length nn, by the prefix recursion over the padded
+    # baseline, with closed forms for zero- and one-region roots.  Both read
+    # rr only through its region parse, which depends only on which
+    # positions of rr hold equal symbols, and the size cache is keyed by
+    # canonical root; so every root, suffix and reversal shares one memo,
+    # keyed by canonical word, which stores only the recursive branch.
+    # shape(rr) parses rr once, up to its second region: (region count
+    # capped at two, canonical tail left after the cut, case) where, with
+    # two regions, case is the (cut, options) _PREFIX_CASES keys by the
+    # first region.
     memo: dict[tuple[Word, int], int] = {}
     shapes: dict[Word, tuple[int, Word, tuple]] = {}
 
     def shape(rr: Word) -> tuple[int, Word, tuple]:
         got = shapes.get(rr)
         if got is None:
-            m = _few_regions(rr)
-            if m < 2:
-                got = (m, b"", ())
+            regions = tuple(islice(_regions(rr), 2))
+            if len(regions) < 2:
+                got = (len(regions), b"", (0, ()))
             else:
-                cut, options = _prefix_case(rr)
-                got = (m, canonical_form(rr[cut:])[0], options)
+                case = _PREFIX_CASES[regions[0][1].reg]
+                got = (2, canonical_form(rr[case[0] :])[0], case)
             shapes[rr] = got
         return got
 
@@ -251,7 +238,7 @@ def _size_table(cache=None):
                 return hit[0]
         if nn <= len(rr) + 2:
             return 1  # every closed form gives 1 this close to the root, too
-        m, tail, options = shape(rr)
+        m, tail, (_, options) = shape(rr)
         if m == 0:
             return 1
         if m == 1:
@@ -262,7 +249,7 @@ def _size_table(cache=None):
         memo[(rr, nn)] = best
         return best
 
-    return value
+    return value, shape
 
 
 def _sizes(value, r: Word, n: int) -> tuple[int, int]:
@@ -297,24 +284,26 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
     for any relabeling or reversal of a suffix root is used.
     """
     _check_ternary_root(r)
-    return max(_sizes(_size_table(cache), r, n))
+    return max(_sizes(_size_table(cache)[0], r, n))
 
 
-def _materialize(rr: Word, nn: int, value) -> set[Word]:
-    target = value(canonical_form(rr)[0], nn)
+def _materialize(rr: Word, nn: int, value, shape) -> set[Word]:
+    # the words behind value for rr at length nn, read off the parse shape
+    # stored for rr's canonical form (rr is a relabeling of it, so the two
+    # share their region count and case)
+    key = canonical_form(rr)[0]
+    target = value(key, nn)
     if target <= 1:  # zero-region roots always land here
         return {pad_tail(rr, nn - len(rr))}
-    if _few_regions(rr) == 1:
+    m, tail, (cut, options) = shape(key)
+    if m == 1:
         return set(one_region_code(rr, nn).words)
     if target == 2:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
-    cut, options = _prefix_case(rr)
-    tail = rr[cut:]
-    key = canonical_form(tail)[0]
     relabel = bytes.maketrans(b"\0\1\2", rr[:3])
     for drop, prefixes in options:
-        if len(prefixes) * value(key, nn - drop) == target:
-            inner = _materialize(tail, nn - drop, value)
+        if len(prefixes) * value(tail, nn - drop) == target:
+            inner = _materialize(rr[cut:], nn - drop, value, shape)
             return {p.translate(relabel) + w for p in prefixes for w in inner}
     # Unreachable.  With two or more regions and nn > len(rr) + 2,
     # value(rr, nn) = max(2, value(rr, nn - 1), options(nn)) where each
@@ -325,14 +314,14 @@ def _materialize(rr: Word, nn: int, value) -> set[Word]:
     raise RuntimeError(f"no construction of size {target} for {rr!r} at length {nn}")
 
 
-def _recursive_words(r: Word, n: int, value) -> set[Word]:
+def _recursive_words(r: Word, n: int, table) -> set[Word]:
     # the recursive construction for r or for its reversal, whichever is
-    # larger (r on ties); value must not read a size cache, whose sizes
-    # come without words
-    size, rev_size = _sizes(value, r, n)
+    # larger (r on ties); table is a _size_table that must not read a size
+    # cache, whose sizes come without words
+    size, rev_size = _sizes(table[0], r, n)
     if rev_size > size:
-        return {x[::-1] for x in _materialize(r[::-1], n, value)}
-    return _materialize(r, n, value)
+        return {x[::-1] for x in _materialize(r[::-1], n, *table)}
+    return _materialize(r, n, *table)
 
 
 def recursive_code(r: Word, n: int) -> Code:
@@ -392,7 +381,7 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     targets = sorted(set(targets))
     if not targets or targets[0] < 1:
         raise ValueError("lengths must be positive")
-    value = _size_table(cache)
+    value, _ = _size_table(cache)
     totals = {t: 0 for t in targets}
     for root in _iter_canonical_irreducible(targets[-1]):
         _, orbit = canonical_form(root)
@@ -411,10 +400,10 @@ def assemble_lower_bound(n: int, cache=None) -> tuple[int, Code]:
     cache.
     """
     total = assemble_lower_bounds([n], cache)[n]
-    value = _size_table()
+    table = _size_table()
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
-        best = _recursive_words(root, n, value)
+        best = _recursive_words(root, n, table)
         d = len(set(root))
         for image in permutations(b"\0\1\2", d):
             relabel = bytes.maketrans(bytes(range(d)), bytes(image))

@@ -63,10 +63,6 @@ class RegionDescriptor:
     abc: Word
     ell: int
 
-    @property
-    def a(self) -> int:
-        return self.abc[0]
-
 
 def main_and_region(r: Word) -> RegionDescriptor:
     """Parse the first region of an irreducible word ``r``.
@@ -152,29 +148,27 @@ def count_occurrences(t: Word, x: Word) -> int:
     return x.count(t)
 
 
-def _regions(r: Word) -> Iterator[RegionDescriptor]:
-    # the first region of the root and of every suffix left after peeling
-    # it; an irreducible word of length >= 4 always has >= 3 distinct
-    # symbols, so the first four positions decide when peeling stops, and
-    # the parse reads at most six
+def _regions(r: Word) -> Iterator[tuple[int, RegionDescriptor]]:
+    # (offset, parse) for the first region of the root and of every suffix
+    # left after peeling it, offset counting the symbols peeled so far; an
+    # irreducible word of length >= 4 always has >= 3 distinct symbols, so
+    # the first four positions decide when peeling stops, and the parse
+    # reads at most six
     offset = 0
     while len(set(r[offset : offset + 4])) >= 3:
         desc = main_and_region(r[offset : offset + 6])
-        yield desc
+        yield offset, desc
         offset += len(desc.reg) - 2
 
 
 def _region_plan(r: Word) -> tuple[tuple[int, Word, Word, Word, int], ...]:
     # (end depth, main, its two other rotations, a) per region of the root
-    # r, as _regions parses them; the end depth is offset + len(reg), where
-    # offset counts the symbols earlier regions peeled off (see _peel)
-    plan = []
-    offset = 0
-    for desc in _regions(r):
-        main = desc.main
-        plan.append((offset + len(desc.reg), main, main[1:] + main[:1], main[2:] + main[:2], desc.a))
-        offset += len(desc.reg) - 2
-    return tuple(plan)
+    # r, as _regions parses them; the end depth is offset + len(reg) (see
+    # _peel)
+    return tuple(
+        (offset + len(d.reg), d.main, d.main[1:] + d.main[:1], d.main[2:] + d.main[:2], d.abc[0])
+        for offset, d in _regions(r)
+    )
 
 
 # Plans of roots up to _PLAN_CACHE_ROOT_MAX symbols are cached, as many as

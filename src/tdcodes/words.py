@@ -35,7 +35,10 @@ def parse_word(text: str, q: int = 3) -> Word:
     if not text:
         raise ValueError("empty word")
     if "," in text:
-        symbols = [int(part) for part in text.split(",")]
+        parts = text.split(",")
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"empty symbol in {text!r}")
+        symbols = [int(part) for part in parts]
     elif not text.isdigit():
         raise ValueError(f"not a digit string: {text!r}")
     elif q <= 10:

@@ -22,6 +22,9 @@ def test_root_command(capsys):
     assert code == 0 and out.strip() == "01210"
     code, out, _ = run(capsys, "root", "012012", "--k", "2")
     assert code == 0 and out.strip() == "012012"
+    # --exact 0 is a duplication length, not "no --exact"
+    code, out, err = run(capsys, "root", "0120", "--exact", "0")
+    assert code == 2 and out == "" and "duplicate length must be positive" in err
 
     # a one-symbol root over q > 10 prints without a comma and reads back
     code, out, _ = run(capsys, "--q", "13", "root", "12,12")
@@ -87,6 +90,11 @@ def test_code_command_text_and_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "code", "pair", "--root", "0120")
     payload = json.loads(out)
     assert sorted(payload["words"]) == ["0112200", "0120120"]
+    # the pair code's length is fixed at len(root) + 3
+    code, out, err = run(capsys, "code", "pair", "--root", "0120", "--n", "40")
+    assert code == 2 and out == "" and "fixed length len(root) + 3 = 7" in err
+    code, out, _ = run(capsys, "code", "pair", "--root", "0120", "--n", "7")
+    assert code == 0 and out.splitlines()[0] == "7 3 2 pair"
     # the recursion is ternary: a root over four symbols is refused, and a
     # three-symbol root over a larger alphabet is built as its relabeling
     code, out, err = run(capsys, "--q", "4", "code", "recursive", "--root", "0123", "--n", "12")

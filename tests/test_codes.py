@@ -151,6 +151,32 @@ def test_recursion_over_more_than_three_symbols():
             assert code.words == {x.translate(relabel) for x in recursive_code(canon, n).words}
 
 
+def test_prefix_case_follows_first_region():
+    from tdcodes.codes import _PREFIX_CASES, _iter_canonical_irreducible
+    from tdcodes import main_and_region
+
+    def reference_key(r):
+        # the case read off r1..r5, a missing position comparing as
+        # different: r1 = r3; r1 != r4; r2 != r5; otherwise, named by one
+        # first region of that case
+        if r[0] == r[2]:
+            return w("0102")
+        if r[:1] != r[3:4]:
+            return w("012")
+        if r[1:2] != r[4:5]:
+            return w("0120")
+        return w("01201")
+
+    roots = [r for r in _iter_canonical_irreducible(20) if count_regions(r) >= 2]
+    assert len(roots) == 4600
+    regions = set()
+    for r in roots:
+        reg = main_and_region(r).reg
+        regions.add(reg)
+        assert _PREFIX_CASES[reg] == _PREFIX_CASES[reference_key(r)], r
+    assert regions == set(_PREFIX_CASES)
+
+
 def test_recursive_code_rejects_four_symbols():
     from tdcodes import parse_word
 

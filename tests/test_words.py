@@ -40,6 +40,9 @@ def test_parse_rejects_bad_input():
         parse_word("01x")
     with pytest.raises(ValueError):
         parse_word("012", q=11)  # digit syntax only up to q=10
+    for text in ("1,,2", "1,2,"):
+        with pytest.raises(ValueError, match=f"empty symbol in '{text}'"):
+            parse_word(text, q=13)
 
 
 def test_tandem_duplicate_examples():
