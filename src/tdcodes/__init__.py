@@ -73,7 +73,6 @@ from .bounds import (
 from .optimal import (
     LabelGraph,
     graph_from_labels,
-    build_graph,
     max_clique,
     SizeCache,
     labels_by_root,

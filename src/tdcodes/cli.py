@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2_000_000,
         help="state budget for cone searches",
     )
-    parser.add_argument("--cache", default=None, help="path of the size cache file")
+    parser.add_argument("--cache", default=None, help="size cache file (default: $TDCODES_CACHE)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("root", help="duplication root of a word")
@@ -97,13 +98,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None)
 
     p = sub.add_parser("code", help="construct a code")
-    p.add_argument(
-        "construction", choices=("irr", "pair", "one-region", "recursive", "assemble")
-    )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--root", default=None)
-    p.add_argument("--validate", action="store_true")
+    builds = p.add_subparsers(dest="construction", required=True)
+    c = builds.add_parser("irr", help="irreducible words, tail-padded")
+    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--k", type=int, default=3)
+    c = builds.add_parser("pair", help="two-word code of length len(root) + 3")
+    c.add_argument("--root", required=True)
+    c.add_argument("--n", type=int, default=None)
+    for name, about in (
+        ("one-region", "optimal code for a one-region root"),
+        ("recursive", "prefix recursion over a ternary root"),
+    ):
+        c = builds.add_parser(name, help=about)
+        c.add_argument("--root", required=True)
+        c.add_argument("--n", type=int, required=True)
+    c = builds.add_parser("assemble", help="assembled lower-bound code")
+    c.add_argument("--n", type=int, required=True)
+    for c in builds.choices.values():
+        c.add_argument("--validate", action="store_true")
 
     p = sub.add_parser("bounds", help="upper bounds at one length")
     p.add_argument("--n", type=int, required=True)
@@ -226,12 +238,15 @@ def _run(args) -> int:
             f"refined_upper\t{payload['refined_upper']}",
             f"le2_upper\t{payload['le2_upper']}",
         ]
-        if args.i is not None and args.m is not None:
+        if (args.i is None) != (args.m is None):
+            missing = "--m" if args.m is None else "--i"
+            raise ValueError(f"bounds needs --i and --m together; {missing} is missing")
+        if args.i is not None:
             payload["region_vector_upper"] = region_vector_upper_bound(args.n, args.i, args.m)
             lines.append(f"region_vector_upper\t{payload['region_vector_upper']}")
         _emit(args, payload, lines)
     elif args.command == "optimal":
-        cache = SizeCache(args.cache)
+        cache = _size_cache(args)
         if args.root:
             r = parse_word(args.root, q)
             size = optimal_size_for_root(r, args.n, cache=cache, budget=args.budget_states)
@@ -250,18 +265,17 @@ def _run(args) -> int:
     return 0
 
 
+def _size_cache(args) -> SizeCache | None:
+    # a size cache exists only where --cache or TDCODES_CACHE names a file
+    path = args.cache if args.cache is not None else os.environ.get("TDCODES_CACHE")
+    return SizeCache(path) if path else None
+
+
 def _build_code(args, q):
     if args.construction == "irr":
-        if args.n is None:
-            raise ValueError("code irr needs --n")
         return irreducible_code(args.n, args.k, q)
     if args.construction == "assemble":
-        if args.n is None:
-            raise ValueError("code assemble needs --n")
-        _, code = assemble_lower_bound(args.n, cache=SizeCache(args.cache))
-        return code
-    if args.root is None:
-        raise ValueError(f"code {args.construction} needs --root")
+        return assemble_lower_bound(args.n)
     r = parse_word(args.root, q)
     if args.construction == "pair":
         code = pair_code(r)
@@ -271,16 +285,12 @@ def _build_code(args, q):
             )
         return code
     if args.construction == "one-region":
-        if args.n is None:
-            raise ValueError("code one-region needs --n")
         return one_region_code(r, args.n)
-    if args.n is None:
-        raise ValueError("code recursive needs --n")
     return recursive_code(r, args.n)
 
 
 def _run_table(args) -> None:
-    cache = SizeCache(args.cache)
+    cache = _size_cache(args)
     counts3 = irreducible_counts(args.n_max, 3, 3)
     print("n\tconstr1\tlower\teq1\tprop4\toptimal")
     cumulative = 0

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .words import Word, check_word, is_irreducible, pad_tail, render_word
+from .words import Word, check_word, is_irreducible, pad_tail, render_word, tandem_duplicate
 from .confusability import _regions, confusable, main_and_region
 from .oracle import _walk, enumerate_irreducible, canonical_form
 from .roots import root_le3
@@ -85,16 +85,15 @@ def pair_code(r: Word) -> Code:
         raise UnsupportedRootError(f"pair construction needs a root of length >= 4, got {i}")
     if not is_irreducible(r, 3):
         raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
-    r1, r2, r3, r4 = r[0], r[1], r[2], r[3]
-    if r1 != r3:
-        first = r[:3] + r[:3] + r[3:]
-        second = bytes((r1, r2, r2, r3, r3, r4, r4)) + r[4:]
-    elif i >= 5:
-        first = bytes((r1, r2, r1, r4, r2, r1, r4)) + r[4:]
-        second = bytes((r1, r2, r1, r1, r4, r4, r[4], r[4])) + r[5:]
-    else:
-        first = bytes((r1, r2, r1, r4, r2, r1, r4))
-        second = bytes((r1, r2, r1, r1, r4, r4, r4))
+    # j is the offset of the first distinct triple: the first word
+    # duplicates it, the second duplicates each of the three symbols after
+    # its first (the last clipped to the root's end), right to left so that
+    # each offset still indexes the root
+    j = 1 if r[0] == r[2] else 0
+    first = tandem_duplicate(r, j, 3)
+    second = r
+    for p in (min(j + 3, i - 1), j + 2, j + 1):
+        second = tandem_duplicate(second, p, 1)
     q = max(r) + 1
     return Code(i + 3, max(q, 3), frozenset((first, second)), "pair")
 
@@ -392,14 +391,12 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     return totals
 
 
-def assemble_lower_bound(n: int, cache=None) -> tuple[int, Code]:
-    """Assembled lower bound at one length, with the code built for it.
+def assemble_lower_bound(n: int) -> Code:
+    """The code behind the assembled lower bound at length ``n``.
 
-    Returns ``(size, code)``.  Cached exact values contribute to the size
-    but never to the code's words, so the code can be smaller with a warm
-    cache.
+    Its size is ``assemble_lower_bounds([n])[n]`` with no size cache: the
+    cache's sizes come without words, so it plays no part here.
     """
-    total = assemble_lower_bounds([n], cache)[n]
     table = _size_table()
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
@@ -408,7 +405,7 @@ def assemble_lower_bound(n: int, cache=None) -> tuple[int, Code]:
         for image in permutations(b"\0\1\2", d):
             relabel = bytes.maketrans(bytes(range(d)), bytes(image))
             words |= {x.translate(relabel) for x in best}
-    return total, Code(n, 3, frozenset(words), "assembled")
+    return Code(n, 3, frozenset(words), "assembled")
 
 
 def code_to_text(code: Code) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .words import Word
 from .confusability import Label, _parse_root, _root_text, compute_label, labels_confusable
@@ -20,16 +20,12 @@ from .oracle import _walk, enumerate_labels, canonical_form
 __all__ = [
     "LabelGraph",
     "graph_from_labels",
-    "build_graph",
     "max_clique",
     "SizeCache",
     "labels_by_root",
     "optimal_size_for_root",
     "optimal_size",
 ]
-
-CACHE_ENV = "TDCODES_CACHE"
-
 
 @dataclass(frozen=True)
 class LabelGraph:
@@ -49,11 +45,6 @@ def graph_from_labels(root: Word, n: int, labels: Iterable[Label]) -> LabelGraph
                 mask |= 1 << j
         masks.append(mask)
     return LabelGraph(root, n, vertices, tuple(masks))
-
-
-def build_graph(r: Word, n: int, budget: int = 2_000_000) -> LabelGraph:
-    """Label graph for the length-``n`` descendants of the root ``r``."""
-    return graph_from_labels(r, n, enumerate_labels(r, n, budget=budget))
 
 
 def _max_clique_masks(adjacency: tuple[int, ...]) -> tuple[int, int]:
@@ -143,24 +134,22 @@ class SizeCache:
     the root written as in a label and the witness labels ";"-joined.  The
     file is append-only; on load the last entry for a key wins, and every
     line's witness must hold ``size`` labels of its root, pairwise
-    non-confusable.
+    non-confusable.  With no path the cache lives in memory only.
     """
 
     def __init__(self, path: str | None = None):
-        if path is None:
-            path = os.environ.get(CACHE_ENV)
         self.path = path
         self._mem: dict[tuple[Word, int], tuple[int, tuple[Label, ...]]] = {}
         if path and os.path.exists(path):
             self._load(path)
 
     def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")  # an empty witness field ends the line
-                if not line.strip() or line.startswith("#"):
-                    continue
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
                 try:
+                    line = raw.decode("utf-8").rstrip("\r\n")  # an empty witness field ends the line
+                    if not line.strip() or line.startswith("#"):
+                        continue
                     root_text, n_text, size_text, witness_text = line.split("\t")
                     root = _parse_root(root_text)
                     witness = tuple(
@@ -211,6 +200,20 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
     return buckets
 
 
+def _root_optimum(
+    root: Word, n: int, cache: SizeCache | None, labels: Callable[[], Iterable[Label]]
+) -> int:
+    # the optimum of a canonical root: the cached size on a hit, else the
+    # clique over labels(), stored with its witness
+    hit = cache.get(root, n) if cache is not None else None
+    if hit is not None:
+        return hit[0]
+    size, witness = max_clique(graph_from_labels(root, n, labels()))
+    if cache is not None:
+        cache.put(root, n, size, witness)
+    return size
+
+
 def optimal_size_for_root(
     r: Word,
     n: int,
@@ -223,15 +226,7 @@ def optimal_size_for_root(
     is relabeled over its own symbols.
     """
     canon, _ = canonical_form(r, len(set(r)))
-    if cache is not None:
-        hit = cache.get(canon, n)
-        if hit is not None:
-            return hit[0]
-    graph = build_graph(canon, n, budget=budget)
-    size, witness = max_clique(graph)
-    if cache is not None:
-        cache.put(canon, n, size, witness)
-    return size
+    return _root_optimum(canon, n, cache, lambda: enumerate_labels(canon, n, budget=budget))
 
 
 def optimal_size(n: int, cache: SizeCache | None = None) -> int:
@@ -246,12 +241,5 @@ def optimal_size(n: int, cache: SizeCache | None = None) -> int:
     total = 0
     for root, labels in labels_by_root(n).items():
         _, orbit = canonical_form(root)
-        hit = cache.get(root, n) if cache is not None else None
-        if hit is not None:
-            size = hit[0]
-        else:
-            size, witness = max_clique(graph_from_labels(root, n, labels))
-            if cache is not None:
-                cache.put(root, n, size, witness)
-        total += orbit * size
+        total += orbit * _root_optimum(root, n, cache, lambda: labels)
     return total

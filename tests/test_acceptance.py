@@ -409,8 +409,8 @@ def test_criterion_7_construction_validity():
         for n in range(len(pattern), 13):
             if td.optimal_size_for_root(pattern, n) != td.one_region_size(pattern, n):
                 ok = False
-    total, assembled = td.assemble_lower_bound(8)
-    if len(assembled.words) != total or not td.validate_code(assembled):
+    assembled = td.assemble_lower_bound(8)
+    if len(assembled) != td.assemble_lower_bounds([8])[8] or not td.validate_code(assembled):
         ok = False
     elapsed = time.perf_counter() - t0
     report(

@@ -102,6 +102,17 @@ def test_code_command_text_and_json(capsys):
     code, out, _ = run(capsys, "--q", "4", "code", "recursive", "--root", "0130", "--n", "12", "--validate")
     assert code == 0
     assert out.strip().splitlines() == ["12 4 3 recursive", "011330000000", "011330011330", "013013013000"]
+    # each construction takes exactly its own options
+    for argv in (
+        ("irr", "--n", "3", "--root", "0120"),
+        ("assemble", "--n", "6", "--root", "012"),
+        ("recursive", "--root", "01210", "--n", "9", "--k", "2"),
+        ("one-region", "--root", "0120", "--n", "9", "--k", "1"),
+        ("pair", "--root", "0120", "--k", "2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["code", *argv])
+        assert exc.value.code == 2
 
 
 def test_bounds_and_optimal_commands(capsys):
@@ -110,6 +121,11 @@ def test_bounds_and_optimal_commands(capsys):
     assert payload["refined_upper"] == 117
     assert payload["le2_upper"] == 117
     assert payload["region_vector_upper"] == 2
+    # --i and --m come together; with one of them the other is named
+    code, out, err = run(capsys, "bounds", "--n", "12", "--i", "5")
+    assert code == 2 and out == "" and "--m is missing" in err
+    code, out, err = run(capsys, "bounds", "--n", "12", "--m", "2")
+    assert code == 2 and out == "" and "--i is missing" in err
     code, out, _ = run(capsys, "optimal", "--n", "4")
     assert code == 0 and out.strip() == "39"
     code, out, _ = run(capsys, "optimal", "--n", "9", "--root", "012")
@@ -126,6 +142,31 @@ def test_table_command(capsys):
     assert lines[6].split("\t") == ["6", "111", "117", "117", "117", "117"]
     code, out, _ = run(capsys, "table", "--n-max", "0")
     assert code == 0 and out == "n\tconstr1\tlower\teq1\tprop4\toptimal\n"
+
+
+def test_cache_path_from_environment(tmp_path, monkeypatch, capsys):
+    from tdcodes import parse_word
+    from tdcodes.optimal import SizeCache
+
+    path = tmp_path / "env-cache.tsv"
+    monkeypatch.setenv("TDCODES_CACHE", str(path))
+    code, out, _ = run(capsys, "optimal", "--root", "012", "--n", "7")
+    assert code == 0 and out.strip() == "2"
+    assert SizeCache(str(path)).get(parse_word("012"), 7)[0] == 2
+
+
+def test_no_size_cache_without_a_file(monkeypatch, capsys):
+    import tdcodes.cli
+
+    def refuse(*_):
+        raise AssertionError("a SizeCache was built with no file named")
+
+    monkeypatch.delenv("TDCODES_CACHE", raising=False)
+    monkeypatch.setattr(tdcodes.cli, "SizeCache", refuse)
+    code, out, _ = run(capsys, "optimal", "--root", "01210", "--n", "9")
+    assert code == 0 and out.strip() == "3"
+    code, out, _ = run(capsys, "table", "--n-max", "8", "--optimal-up-to", "4")
+    assert code == 0 and out.strip().splitlines()[4].split("\t") == ["4", "39", "39", "39", "39", "39"]
 
 
 def test_validation_exit_code(capsys):

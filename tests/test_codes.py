@@ -8,6 +8,7 @@ from tdcodes import (
     assemble_lower_bounds,
     compute_label,
     count_regions,
+    enumerate_irreducible,
     find_confusable_pair,
     irreducible_code,
     le2_upper_bound,
@@ -54,6 +55,23 @@ def test_pair_code_examples():
     assert pair_code(w("0102")).words == frozenset((w("0102102"), w("0100222")))
     with pytest.raises(UnsupportedRootError):
         pair_code(w("012"))
+
+
+def test_pair_code_matches_hand_built_words():
+    # the rule pair_code replaced: words spelled out from r's first symbols
+    def reference(r):
+        r1, r2, r3, r4 = r[0], r[1], r[2], r[3]
+        if r1 != r3:
+            return r[:3] + r[:3] + r[3:], bytes((r1, r2, r2, r3, r3, r4, r4)) + r[4:]
+        if len(r) >= 5:
+            first = bytes((r1, r2, r1, r4, r2, r1, r4)) + r[4:]
+            return first, bytes((r1, r2, r1, r1, r4, r4, r[4], r[4])) + r[5:]
+        return bytes((r1, r2, r1, r4, r2, r1, r4)), bytes((r1, r2, r1, r1, r4, r4, r4))
+
+    for q in (3, 4):
+        for n in range(4, 9):
+            for r in enumerate_irreducible(n, q):
+                assert pair_code(r).words == frozenset(reference(r)), r
 
 
 def test_pair_code_label_shape():
@@ -232,9 +250,9 @@ def test_validate_code_negative():
 
 
 def test_assemble_lower_bound_small():
-    assert assemble_lower_bound(1)[0] == 3
-    assert assemble_lower_bound(5)[0] == 69
-    assert assemble_lower_bound(6)[0] == 117
+    assert len(assemble_lower_bound(1)) == 3
+    assert len(assemble_lower_bound(5)) == 69
+    assert len(assemble_lower_bound(6)) == 117
 
 
 def test_assemble_lower_bounds_without_cache():
@@ -247,23 +265,21 @@ def test_assemble_lower_bounds_without_cache():
 
 
 def test_assemble_lower_bound_monotone():
-    values = [assemble_lower_bound(n)[0] for n in range(1, 10)]
+    values = [len(assemble_lower_bound(n)) for n in range(1, 10)]
     assert values == sorted(values)
 
 
 def test_assemble_lower_bound_materialized():
-    total, code = assemble_lower_bound(7)
-    assert code is not None
-    assert len(code.words) == total
+    code = assemble_lower_bound(7)
+    assert len(code) == assemble_lower_bounds([7])[7]
     assert validate_code(code)
 
 
-def test_recursion_reads_size_cache_across_relabeling_and_reversal(monkeypatch):
+def test_recursion_reads_size_cache_across_relabeling_and_reversal():
     from tdcodes import assemble_lower_bounds, optimal_size
     from tdcodes.codes import _iter_canonical_irreducible
     from tdcodes.optimal import SizeCache
 
-    monkeypatch.delenv("TDCODES_CACHE", raising=False)
     cache = SizeCache(None)
     for m in range(1, 11):
         optimal_size(m, cache)

@@ -1,14 +1,16 @@
 import itertools
+import multiprocessing
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcodes import (
     Code,
     Label,
     LabelGraph,
-    build_graph,
     compute_label,
     confusable,
     descendant_cone,
@@ -23,17 +25,17 @@ from tdcodes import (
     count_regions,
     validate_code,
 )
-from tdcodes.optimal import SizeCache, _max_clique_masks
+from tdcodes.optimal import SizeCache, _check_witness, _max_clique_masks
 
 from conftest import w
 
 
 def test_graph_examples():
-    g = build_graph(w("0"), 6)
+    g = graph_from_labels(w("0"), 6, enumerate_labels(w("0"), 6))
     assert len(g.vertices) == 1 and g.adjacency == (0,)
-    g = build_graph(w("01210"), 5)
+    g = graph_from_labels(w("01210"), 5, enumerate_labels(w("01210"), 5))
     assert len(g.vertices) == 1
-    g = build_graph(w("012"), 6)
+    g = graph_from_labels(w("012"), 6, enumerate_labels(w("012"), 6))
     texts = [label.text() for label in g.vertices]
     assert "012:(1,-)" in texts and "012:(2,+)" in texts
     i = texts.index("012:(1,-)")
@@ -128,7 +130,7 @@ def test_optimal_size_for_root_reversal_and_monotone():
 
 def test_clique_witness_realizes_word_code():
     root, n = w("01210"), 9
-    graph = build_graph(root, n)
+    graph = graph_from_labels(root, n, enumerate_labels(root, n))
     size, witness = max_clique(graph)
     by_label = {}
     for word in descendant_cone(root, n).by_length.get(n, ()):
@@ -221,16 +223,6 @@ def test_optimal_size_uses_cache(tmp_path):
     assert optimal_size(4, cache=cache) == 39
 
 
-def test_cache_path_from_environment(tmp_path, monkeypatch):
-    path = tmp_path / "env-cache.tsv"
-    monkeypatch.setenv("TDCODES_CACHE", str(path))
-    cache = SizeCache()
-    optimal_size_for_root(w("012"), 7, cache=cache)
-    assert path.exists()
-    monkeypatch.delenv("TDCODES_CACHE")
-    assert SizeCache(str(path)).get(w("012"), 7) == cache.get(w("012"), 7)
-
-
 def test_size_cache_reports_malformed_line(tmp_path, capsys):
     from tdcodes.cli import main
 
@@ -240,6 +232,66 @@ def test_size_cache_reports_malformed_line(tmp_path, capsys):
         SizeCache(str(path))
     assert main(["--cache", str(path), "optimal", "--n", "4"]) == 2
     assert f"error: {path}:2: malformed size-cache line" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cache_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corrupt") / "cache.tsv"
+    cache = SizeCache(str(path))
+    for root, n in ((w("012"), 9), (w("01210"), 9), (w("0102"), 8), (bytes(range(11)), 12)):
+        optimal_size_for_root(root, n, cache=cache)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_size_cache_corrupted_byte_is_reported_or_checked(cache_file, data):
+    # one replaced byte anywhere in a cache file either names its line or
+    # leaves only entries whose witnesses still check
+    path, raw = cache_file
+    at = data.draw(st.integers(0, len(raw) - 1), label="position")
+    byte = data.draw(st.integers(0, 255), label="byte")
+    path.write_bytes(raw[:at] + bytes((byte,)) + raw[at + 1 :])
+    try:
+        cache = SizeCache(str(path))
+    except ValueError as exc:
+        assert re.match(re.escape(str(path)) + r":\d+: malformed size-cache line", str(exc)), exc
+        return
+    for (root, _), (size, witness) in cache._mem.items():
+        _check_witness(root, size, witness)
+
+
+def _append_entries(path, root, witness, ns, barrier):
+    cache = SizeCache(path)
+    barrier.wait()
+    for n in ns:
+        cache.put(root, n, len(witness), witness)
+
+
+def test_size_cache_concurrent_writers(tmp_path):
+    # writers sharing one file each append whole lines: put opens the file
+    # in append mode (O_APPEND) and sends each line in one write, so lines
+    # of about 18 KB from three processes never interleave
+    path = str(tmp_path / "cache.tsv")
+    root = bytes(i % 3 for i in range(6000))
+    witness = (Label(root, ((1, "-"),)), Label(root, ((2, "+"),)))
+    writers, lines = 3, 300
+    barrier = multiprocessing.Barrier(writers)
+    procs = [
+        multiprocessing.Process(
+            target=_append_entries,
+            args=(path, root, witness, range(k * lines, (k + 1) * lines), barrier),
+        )
+        for k in range(writers)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+    cache = SizeCache(path)
+    assert len(cache) == writers * lines
+    assert all(cache.get(root, n) == (2, witness) for n in range(writers * lines))
 
 
 @pytest.mark.parametrize(
@@ -265,4 +317,4 @@ def test_non_irreducible_root_rejected():
     with pytest.raises(ValueError):
         optimal_size_for_root(w("0100"), 6)
     with pytest.raises(ValueError):
-        build_graph(w("0101"), 6)
+        graph_from_labels(w("0101"), 6, enumerate_labels(w("0101"), 6))
