@@ -147,6 +147,12 @@ def _run(args) -> int:
     q = args.q
     if not 1 <= q <= 256:
         raise ValueError(f"--q must be between 1 and 256 (symbols are bytes), got {q}")
+    command = " ".join(filter(None, (args.command, getattr(args, "construction", None))))
+    ternary = command in ("table", "bounds", "code assemble")
+    if q != 3 and (ternary or command == "optimal" and not args.root):
+        raise ValueError(f"{command} is ternary: --q must be 3, got {q}")
+    if args.format == "json" and command in ("table", "verify"):
+        raise ValueError(f"{command} prints TSV only: --format json is not supported")
     if args.command == "root":
         x = parse_word(args.word, q)
         r = root_exact_k(x, args.exact) if args.exact is not None else root_le_k(x, args.k)

@@ -17,7 +17,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .words import Word, check_word, is_irreducible, pad_tail, render_word, tandem_duplicate
+from .words import Word, _root_text, check_word, is_irreducible, pad_tail, render_word
+from .words import tandem_duplicate
 from .confusability import _regions, confusable, main_and_region
 from .oracle import _walk, enumerate_irreducible, canonical_form
 from .roots import root_le3
@@ -84,7 +85,7 @@ def pair_code(r: Word) -> Code:
     if i < 4:
         raise UnsupportedRootError(f"pair construction needs a root of length >= 4, got {i}")
     if not is_irreducible(r, 3):
-        raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
+        raise UnsupportedRootError(f"{_root_text(r)} is not irreducible, so it is not a root")
     # j is the offset of the first distinct triple: the first word
     # duplicates it, the second duplicates each of the three symbols after
     # its first (the last clipped to the root's end), right to left so that
@@ -130,7 +131,7 @@ def one_region_words(pattern: Word, ell: int) -> tuple[Word, Word]:
         raise ValueError(f"family index must be >= 1, got {ell}")
     entry = _ONE_REGION_TABLE.get(pattern)
     if entry is None:
-        raise UnsupportedRootError(f"{pattern!r} is not a normalized one-region root")
+        raise UnsupportedRootError(f"{_root_text(pattern)} is not a normalized one-region root")
     x_head, x_tail, z_head, z_tail = entry
     x_word = x_head + _X_BLOCK * (ell - 1) + x_tail
     z_word = z_head + _Z_BLOCK * ell + z_tail
@@ -145,7 +146,7 @@ def _one_region_base(r: Word) -> tuple[Word, bytes]:
     base = r.translate(bytes.maketrans(t, b"\0\1\2"))
     table = bytes.maketrans(b"\0\1\2", t)
     if base not in _ONE_REGION_TABLE or base.translate(table) != r:
-        raise UnsupportedRootError(f"{r!r} is not a one-region root")
+        raise UnsupportedRootError(f"{_root_text(r)} is not a one-region root")
     return base, table
 
 
@@ -267,9 +268,11 @@ def _check_ternary_root(r: Word) -> None:
     # symbols it can pair confusable words
     check_word(r)
     if not is_irreducible(r, 3):
-        raise UnsupportedRootError(f"{r!r} is not irreducible, so it is not a root")
+        raise UnsupportedRootError(f"{_root_text(r)} is not irreducible, so it is not a root")
     if len(set(r)) > 3:
-        raise UnsupportedRootError(f"{r!r} has more than three symbols; the recursion is ternary")
+        raise UnsupportedRootError(
+            f"{_root_text(r)} has more than three symbols; the recursion is ternary"
+        )
 
 
 def recursive_size(r: Word, n: int, cache=None) -> int:
@@ -310,7 +313,7 @@ def _materialize(rr: Word, nn: int, value, shape) -> set[Word]:
     # nondecreasing in the length, so the options are too, and induction
     # from value(rr, len(rr) + 2) = 1 gives value(rr, nn) = max(2,
     # options(nn)): a target above 2 always equals some option.
-    raise RuntimeError(f"no construction of size {target} for {rr!r} at length {nn}")
+    raise RuntimeError(f"no construction of size {target} for {_root_text(rr)} at length {nn}")
 
 
 def _recursive_words(r: Word, n: int, table) -> set[Word]:
@@ -359,7 +362,7 @@ def validate_code(code: Code) -> bool:
     for w in code.words:
         check_word(w, code.q)
         if len(w) != code.n:
-            raise ValueError(f"word {w!r} does not have code length {code.n}")
+            raise ValueError(f"word {_root_text(w)} does not have code length {code.n}")
     return find_confusable_pair(code) is None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .words import Word, check_word, tandem_duplicate
+from .words import Word, _parse_root, _root_text, check_word, tandem_duplicate
 from .roots import root_le_k, root_le3_depths
 
 __all__ = [
@@ -73,7 +73,7 @@ def main_and_region(r: Word) -> RegionDescriptor:
     """
     n = len(r)
     if len(set(r[:4])) < 3:
-        raise NoRegionError(f"no region: fewer than 3 distinct symbols start {r!r}")
+        raise NoRegionError(f"no region: fewer than 3 distinct symbols start {_root_text(r)}")
     if r[0] == r[2]:
         main = r[1:4]
         if n < 5 or r[1] != r[4]:
@@ -126,7 +126,9 @@ def extended_prefix(desc: RegionDescriptor, x: Word) -> Word:
         if n == d and st == reg:
             best = idx + 1
     if best == 0:
-        raise MalformedWordError(f"no prefix of {x!r} is generated from region {reg!r}")
+        raise MalformedWordError(
+            f"no prefix of {_root_text(x)} is generated from region {_root_text(reg)}"
+        )
     return x[:best]
 
 
@@ -144,7 +146,7 @@ def count_occurrences(t: Word, x: Word) -> int:
     themselves, so ``bytes.count`` already counts every occurrence.
     """
     if len(t) != 3 or len(set(t)) != 3:
-        raise ValueError(f"pattern must be three pairwise-distinct symbols, got {t!r}")
+        raise ValueError(f"pattern must be three pairwise-distinct symbols, got {_root_text(t)}")
     return x.count(t)
 
 
@@ -242,20 +244,6 @@ def confusable(x: Word, y: Word) -> bool:
         if not _entry_confusable(ex, ey):
             return False
     return True
-
-
-def _root_text(root: Word) -> str:
-    # one digit per symbol, or comma-separated once a symbol needs two
-    # digits; a one-symbol root then keeps a trailing comma
-    if max(root, default=0) < 10:
-        return "".join(str(v) for v in root)
-    return ",".join(str(v) for v in root) + ("," if len(root) == 1 else "")
-
-
-def _parse_root(text: str) -> Word:
-    if "," in text:
-        return bytes(int(v) for v in text.split(",") if v)
-    return bytes(int(ch) for ch in text)
 
 
 @dataclass(frozen=True, order=True)

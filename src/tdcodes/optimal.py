@@ -13,8 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .words import Word
-from .confusability import Label, _parse_root, _root_text, compute_label, labels_confusable
+from .words import Word, _parse_root, _root_text
+from .confusability import Label, compute_label, labels_confusable
 from .oracle import _walk, enumerate_labels, canonical_form
 
 __all__ = [
@@ -29,40 +29,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabelGraph:
-    root: Word
-    n: int
     vertices: tuple[Label, ...]
     adjacency: tuple[int, ...]  # bitmask per vertex, no self loops
 
 
-def graph_from_labels(root: Word, n: int, labels: Iterable[Label]) -> LabelGraph:
-    vertices = tuple(sorted(set(labels)))
-    masks = []
-    for i, li in enumerate(vertices):
-        mask = 0
-        for j, lj in enumerate(vertices):
-            if i != j and not labels_confusable(li, lj):
-                mask |= 1 << j
-        masks.append(mask)
-    return LabelGraph(root, n, vertices, tuple(masks))
+def graph_from_labels(labels: Iterable[Label]) -> LabelGraph:
+    """The graph joining non-confusable labels, numbered for the clique search.
+
+    Vertices come in nonincreasing-degree order, label order on ties.
+    """
+    ordered = sorted(set(labels))
+    nbrs = [
+        {j for j, lj in enumerate(ordered) if i != j and not labels_confusable(li, lj)}
+        for i, li in enumerate(ordered)
+    ]
+    order = sorted(range(len(ordered)), key=lambda v: -len(nbrs[v]))
+    adjacency = tuple(sum(1 << p for p, u in enumerate(order) if u in nbrs[v]) for v in order)
+    return LabelGraph(tuple(ordered[v] for v in order), adjacency)
 
 
-def _max_clique_masks(adjacency: tuple[int, ...]) -> tuple[int, int]:
-    nv = len(adjacency)
-    if nv == 0:
-        return 0, 0
-    order = sorted(range(nv), key=lambda v: bin(adjacency[v]).count("1"), reverse=True)
-    pos = {v: p for p, v in enumerate(order)}
-    adj = [0] * nv
-    for v in range(nv):
-        mask = 0
-        nb = adjacency[v]
-        while nb:
-            low = nb & -nb
-            mask |= 1 << pos[low.bit_length() - 1]
-            nb ^= low
-        adj[pos[v]] = mask
-
+def _max_clique_masks(adj: tuple[int, ...]) -> tuple[int, int]:
+    # branch and bound over the vertices in the order given, high degrees first
     best_size = 0
     best_mask = 0
 
@@ -94,24 +81,14 @@ def _max_clique_masks(adjacency: tuple[int, ...]) -> tuple[int, int]:
                 expand(current | bit, new_size, new_cand)
             cand &= ~bit
 
-    expand(0, 0, (1 << nv) - 1)
-    # map back to input vertex numbering
-    out = 0
-    m = best_mask
-    while m:
-        low = m & -m
-        out |= 1 << order[low.bit_length() - 1]
-        m ^= low
-    return best_size, out
+    expand(0, 0, (1 << len(adj)) - 1)
+    return best_size, best_mask
 
 
 def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
-    """Exact maximum clique size with a witness set of labels."""
+    """Exact maximum clique size with a witness set of labels, in label order."""
     size, mask = _max_clique_masks(graph.adjacency)
-    witness = tuple(
-        graph.vertices[v] for v in range(len(graph.vertices)) if mask >> v & 1
-    )
-    return size, witness
+    return size, tuple(sorted(label for v, label in enumerate(graph.vertices) if mask >> v & 1))
 
 
 def _check_witness(root: Word, size: int, witness: tuple[Label, ...]) -> None:
@@ -208,7 +185,7 @@ def _root_optimum(
     hit = cache.get(root, n) if cache is not None else None
     if hit is not None:
         return hit[0]
-    size, witness = max_clique(graph_from_labels(root, n, labels()))
+    size, witness = max_clique(graph_from_labels(labels()))
     if cache is not None:
         cache.put(root, n, size, witness)
     return size

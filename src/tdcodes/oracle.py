@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .words import Word, ResourceBudgetError, check_word, is_irreducible
+from .words import Word, ResourceBudgetError, _root_text, check_word, is_irreducible
 from .confusability import Label, compute_label
 
 __all__ = [
@@ -108,10 +108,8 @@ def irreducible_counts(n_max: int, q: int = 3, k: int = 3) -> list[int]:
 
 @dataclass
 class ConeFrontier:
-    """All descendants of ``origin`` up to ``max_len``, grouped by length."""
+    """All descendants of a word up to a length bound, grouped by length."""
 
-    origin: Word
-    max_len: int
     by_length: dict[int, set[Word]] = field(repr=False)
 
     @property
@@ -145,7 +143,7 @@ def _expand_cone(
                     total += 1
                     if total > budget:
                         raise ResourceBudgetError(
-                            f"descendant cone of {w!r} exceeded {budget} states"
+                            f"descendant cone of {_root_text(w)} exceeded {budget} states"
                         )
     return total
 
@@ -163,7 +161,7 @@ def descendant_cone(x: Word, max_len: int, budget: int = 2_000_000) -> ConeFront
     total = 1
     for length in range(len(x), max_len + 1):
         total = _expand_cone(by_length, length, max_len, budget, total)
-    return ConeFrontier(x, max_len, by_length)
+    return ConeFrontier(by_length)
 
 
 def oracle_confusable(
@@ -202,7 +200,7 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
     """Labels of all length-``n`` descendants of the irreducible word ``r``."""
     check_word(r)
     if not is_irreducible(r, 3):
-        raise ValueError(f"{r!r} is not irreducible, so it is not a root")
+        raise ValueError(f"{_root_text(r)} is not irreducible, so it is not a root")
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
     return {compute_label(w) for w in descendant_cone(r, n, budget).by_length.get(n, ())}

@@ -60,6 +60,20 @@ def render_word(x: Word, q: int = 3) -> str:
     return ",".join(str(s) for s in x)
 
 
+def _root_text(root: Word) -> str:
+    # one digit per symbol, or comma-separated once a symbol needs two
+    # digits; a one-symbol root then keeps a trailing comma
+    if max(root, default=0) < 10:
+        return "".join(str(v) for v in root)
+    return ",".join(str(v) for v in root) + ("," if len(root) == 1 else "")
+
+
+def _parse_root(text: str) -> Word:
+    if "," in text:
+        return bytes(int(v) for v in text.split(",") if v)
+    return bytes(int(ch) for ch in text)
+
+
 def check_word(x: Word, q: int | None = None) -> Word:
     """Validate a word: nonempty, and all symbols below ``q`` when given."""
     if not isinstance(x, (bytes, bytearray)):

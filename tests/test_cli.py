@@ -180,6 +180,33 @@ def test_validation_exit_code(capsys):
         assert code == 2 and "between 1 and 256" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--q", "2", "optimal", "--n", "5"),
+        ("--q", "2", "code", "assemble", "--n", "3"),
+        ("--q", "4", "table", "--n-max", "3"),
+        ("--q", "2", "bounds", "--n", "6"),
+    ],
+)
+def test_ternary_commands_refuse_other_alphabets(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "is ternary: --q must be 3" in err
+
+
+@pytest.mark.parametrize("argv", [("table", "--n-max", "3"), ("verify",)])
+def test_tsv_commands_refuse_json(capsys, argv):
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 2 and out == "" and f"error: {argv[0]} prints TSV only" in err
+
+
+def test_errors_show_words_in_text_form(capsys):
+    code, _, err = run(capsys, "optimal", "--root", "0110", "--n", "6")
+    assert code == 2 and err == "error: 0110 is not irreducible, so it is not a root\n"
+    code, _, err = run(capsys, "region", "012", "--in-word", "102")
+    assert code == 2 and err == "error: no prefix of 102 is generated from region 012\n"
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "--budget-states", "50", "cone", "012", "--max-len", "12")
     assert code == 3 and "budget" in err

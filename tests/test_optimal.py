@@ -17,6 +17,7 @@ from tdcodes import (
     enumerate_labels,
     graph_from_labels,
     labels_by_root,
+    labels_confusable,
     max_clique,
     one_region_size,
     optimal_size,
@@ -31,16 +32,32 @@ from conftest import w
 
 
 def test_graph_examples():
-    g = graph_from_labels(w("0"), 6, enumerate_labels(w("0"), 6))
+    g = graph_from_labels(enumerate_labels(w("0"), 6))
     assert len(g.vertices) == 1 and g.adjacency == (0,)
-    g = graph_from_labels(w("01210"), 5, enumerate_labels(w("01210"), 5))
+    g = graph_from_labels(enumerate_labels(w("01210"), 5))
     assert len(g.vertices) == 1
-    g = graph_from_labels(w("012"), 6, enumerate_labels(w("012"), 6))
+    g = graph_from_labels(enumerate_labels(w("012"), 6))
     texts = [label.text() for label in g.vertices]
     assert "012:(1,-)" in texts and "012:(2,+)" in texts
     i = texts.index("012:(1,-)")
     j = texts.index("012:(2,+)")
     assert g.adjacency[i] >> j & 1 and g.adjacency[j] >> i & 1
+
+
+def test_graph_in_degree_order_and_witness_in_label_order():
+    # in label order the degrees of 012 at n = 9 are [0, 2, 1, 1]; the graph
+    # puts the degree-2 label first and keeps label order among the rest
+    labels = sorted(enumerate_labels(w("012"), 9))
+    g = graph_from_labels(labels)
+    degrees = [bin(mask).count("1") for mask in g.adjacency]
+    assert degrees == [2, 1, 1, 0]
+    assert g.vertices == (labels[1], labels[2], labels[3], labels[0])
+    for v, mask in enumerate(g.adjacency):
+        for u, label in enumerate(g.vertices):
+            expect = u != v and not labels_confusable(g.vertices[v], label)
+            assert bool(mask >> u & 1) == expect
+    # the witness comes back in label order, as the size cache stores it
+    assert max_clique(g) == (2, (labels[1], labels[3]))
 
 
 def _brute_force_clique(adjacency) -> int:
@@ -57,12 +74,12 @@ def _brute_force_clique(adjacency) -> int:
 
 
 def test_max_clique_trivial_graphs():
-    empty = LabelGraph(w("0"), 1, tuple(), tuple())
+    empty = LabelGraph(tuple(), tuple())
     assert max_clique(empty) == (0, ())
     labels = tuple(Label(w("012"), ((c, "+"),)) for c in range(1, 6))
-    no_edges = LabelGraph(w("012"), 9, labels, (0,) * 5)
+    no_edges = LabelGraph(labels, (0,) * 5)
     assert max_clique(no_edges)[0] == 1
-    full = LabelGraph(w("012"), 9, labels, tuple(31 ^ (1 << v) for v in range(5)))
+    full = LabelGraph(labels, tuple(31 ^ (1 << v) for v in range(5)))
     size, witness = max_clique(full)
     assert size == 5 and set(witness) == set(labels)
 
@@ -130,7 +147,7 @@ def test_optimal_size_for_root_reversal_and_monotone():
 
 def test_clique_witness_realizes_word_code():
     root, n = w("01210"), 9
-    graph = graph_from_labels(root, n, enumerate_labels(root, n))
+    graph = graph_from_labels(enumerate_labels(root, n))
     size, witness = max_clique(graph)
     by_label = {}
     for word in descendant_cone(root, n).by_length.get(n, ()):
@@ -317,4 +334,4 @@ def test_non_irreducible_root_rejected():
     with pytest.raises(ValueError):
         optimal_size_for_root(w("0100"), 6)
     with pytest.raises(ValueError):
-        graph_from_labels(w("0101"), 6, enumerate_labels(w("0101"), 6))
+        graph_from_labels(enumerate_labels(w("0101"), 6))
