@@ -148,7 +148,7 @@ def _run(args) -> int:
     if not 1 <= q <= 256:
         raise ValueError(f"--q must be between 1 and 256 (symbols are bytes), got {q}")
     command = " ".join(filter(None, (args.command, getattr(args, "construction", None))))
-    ternary = command in ("table", "bounds", "code assemble")
+    ternary = command in ("table", "bounds", "code assemble", "verify")
     if q != 3 and (ternary or command == "optimal" and not args.root):
         raise ValueError(f"{command} is ternary: --q must be 3, got {q}")
     if args.format == "json" and command in ("table", "verify"):

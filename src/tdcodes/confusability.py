@@ -12,12 +12,13 @@ labels decide confusability of the underlying words directly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .words import Word, _parse_root, _root_text, check_word, tandem_duplicate
-from .roots import root_le_k, root_le3_depths
+from .roots import root_le3_depths
 
 __all__ = [
     "NoRegionError",
@@ -140,14 +141,32 @@ def cut_prefix(r: Word, x: Word) -> Word:
 
 
 def count_occurrences(t: Word, x: Word) -> int:
-    """Count factor occurrences of the distinct triple ``t`` in ``x``.
+    """Count occurrences of the distinct triple ``t`` in the le-2 root of ``x``.
 
-    Occurrences of a triple with pairwise-distinct symbols cannot overlap
-    themselves, so ``bytes.count`` already counts every occurrence.
+    The count needs no root pass.  In a word with no runs ``ss``, deleting
+    a square ``stst -> st`` keeps the word free of runs (the kept ``st``
+    keeps its left neighbour, and its new right neighbour already followed
+    a ``t``) and removes exactly the factors ``sts`` and ``tst`` from the
+    multiset of length-3 factors.
+    The le-2 root is unique, so it is the run-collapse of ``x`` followed by
+    such deletions, and a triple of pairwise-distinct symbols occurs in it
+    as often as in the run-collapse.  There each occurrence ``abc`` is the
+    last ``a`` of a run, a whole ``b`` run and the first ``c`` of a run of
+    ``x``: one match of ``a b+ c``.  Matches start at distinct ``a``s and
+    hold no other ``a``, so they never overlap and ``finditer`` meets each
+    once.  The greedy ``b+`` backtracks over at most one ``b`` run per
+    ``a``, so the scan is linear.
     """
+    return sum(1 for _ in _triple_pattern(t).finditer(x))
+
+
+@lru_cache(maxsize=1 << 10)
+def _triple_pattern(t: Word) -> re.Pattern[bytes]:
+    # t0 t1+ t2, one compiled pattern per triple, built on first use
     if len(t) != 3 or len(set(t)) != 3:
         raise ValueError(f"pattern must be three pairwise-distinct symbols, got {_root_text(t)}")
-    return x.count(t)
+    a, b, c = (re.escape(t[i : i + 1]) for i in range(3))
+    return re.compile(a + b + b"+" + c)
 
 
 def _regions(r: Word) -> Iterator[tuple[int, RegionDescriptor]]:
@@ -215,7 +234,7 @@ def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], 
     for depth, main, rot1, rot2, a in plan:
         end = last[depth]
         p = x[start:end]
-        count = count_occurrences(main, root_le_k(p, 2))
+        count = count_occurrences(main, p)
         sign = "+" if main in p or rot1 in p or rot2 in p else "-"
         yield (count, sign), start, end
         start += p.rfind(a)

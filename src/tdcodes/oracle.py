@@ -121,6 +121,7 @@ class ConeFrontier:
 
 
 def _expand_cone(
+    origin: Word,
     by_length: dict[int, set[Word]],
     length: int,
     max_len: int,
@@ -143,7 +144,7 @@ def _expand_cone(
                     total += 1
                     if total > budget:
                         raise ResourceBudgetError(
-                            f"descendant cone of {_root_text(w)} exceeded {budget} states"
+                            f"descendant cone of {_root_text(origin)} exceeded {budget} states"
                         )
     return total
 
@@ -160,7 +161,7 @@ def descendant_cone(x: Word, max_len: int, budget: int = 2_000_000) -> ConeFront
     by_length: dict[int, set[Word]] = {len(x): {x}}
     total = 1
     for length in range(len(x), max_len + 1):
-        total = _expand_cone(by_length, length, max_len, budget, total)
+        total = _expand_cone(x, by_length, length, max_len, budget, total)
     return ConeFrontier(by_length)
 
 
@@ -191,8 +192,8 @@ def oracle_confusable(
             common = fx[length] & fy[length]
             if common:
                 return min(common)
-        total = _expand_cone(fx, length, max_len, budget, total)
-        total = _expand_cone(fy, length, max_len, budget, total)
+        total = _expand_cone(x, fx, length, max_len, budget, total)
+        total = _expand_cone(y, fy, length, max_len, budget, total)
     return None
 
 

@@ -445,13 +445,13 @@ def _batched_descendant(rng: random.Random, root: bytes, target: int) -> bytes:
 
 
 def _spy_symbols(monkeypatch, totals: list) -> None:
-    # wrap the root-stack and scan functions the decision calls, under every
-    # name that refers to them in any tdcodes module, and add up the length
-    # of the word each call is handed
+    # wrap the root-stack, scan and count functions the decision calls,
+    # under every name that refers to them in any tdcodes module, and add
+    # up the length of the word each call is handed
     import sys
 
     spied = (
-        ("roots", "root_le_k", 0),
+        ("confusability", "count_occurrences", 1),
         ("roots", "root_le3_depths", 0),
         ("confusability", "extended_prefix", 1),
     )

@@ -187,6 +187,7 @@ def test_validation_exit_code(capsys):
         ("--q", "2", "code", "assemble", "--n", "3"),
         ("--q", "4", "table", "--n-max", "3"),
         ("--q", "2", "bounds", "--n", "6"),
+        ("--q", "2", "verify"),
     ],
 )
 def test_ternary_commands_refuse_other_alphabets(capsys, argv):
@@ -210,6 +211,16 @@ def test_errors_show_words_in_text_form(capsys):
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "--budget-states", "50", "cone", "012", "--max-len", "12")
     assert code == 3 and "budget" in err
+
+
+def test_budget_error_names_the_word_asked_for(capsys):
+    # the cone search reaches longer words first; the message names the origin
+    code, out, err = run(capsys, "--budget-states", "50", "cone", "012", "--max-len", "12")
+    assert (code, out) == (3, "")
+    assert err == "resource budget exceeded: descendant cone of 012 exceeded 50 states\n"
+    code, out, err = run(capsys, "--budget-states", "50", "optimal", "--root", "0120", "--n", "14")
+    assert (code, out) == (3, "")
+    assert err == "resource budget exceeded: descendant cone of 0120 exceeded 50 states\n"
 
 
 def test_deterministic_output(capsys):

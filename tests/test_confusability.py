@@ -141,8 +141,39 @@ def test_cut_prefix_examples():
 def test_count_occurrences():
     assert count_occurrences(w("012"), w("0120120")) == 2
     assert count_occurrences(w("012"), w("2222")) == 0
+    # counted in the le-2 root of the word, not in the word itself
+    assert count_occurrences(w("012"), w("0112")) == 1
+    assert count_occurrences(w("012"), w("011222")) == 1
     with pytest.raises(ValueError):
         count_occurrences(w("011"), w("0120120"))
+
+
+# regex metacharacters among the byte symbols the count's pattern must escape
+_REGEX_SPECIAL = tuple(b"\n()*+.?[\\")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_count_occurrences_matches_le2_root_over_byte_alphabets(data):
+    symbol = st.sampled_from(_REGEX_SPECIAL) | st.integers(0, 255)
+    alphabet = data.draw(
+        st.lists(symbol, min_size=3, max_size=256, unique=True), label="alphabet"
+    )
+    x = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=3, max_size=40), label="x"))
+    # duplications give the word the runs and squares the le-2 root removes
+    for _ in range(data.draw(st.integers(0, 6), label="dups")):
+        k = data.draw(st.integers(1, min(3, len(x))), label="k")
+        x = tandem_duplicate(x, data.draw(st.integers(0, len(x) - k), label="i"), k)
+    symbols = sorted(set(x))
+    if len(symbols) < 3:
+        return
+    triples = data.draw(
+        st.lists(st.permutations(symbols).map(lambda s: bytes(s[:3])), min_size=1, max_size=6),
+        label="triples",
+    )
+    root = root_le_k(x, 2)
+    for t in triples:
+        assert count_occurrences(t, x) == root.count(t)
 
 
 def test_confusable_examples():
@@ -294,7 +325,7 @@ def _reference_peel(x):
     while len(set(r[:4])) >= 3:
         desc = main_and_region(r)
         p = extended_prefix(desc, x[start:])
-        count = count_occurrences(desc.main, root_le_k(p, 2))
+        count = root_le_k(p, 2).count(desc.main)
         t = desc.main
         sign = "+" if any(rot in p for rot in (t, t[1:] + t[:1], t[2:] + t[:2])) else "-"
         out.append(((count, sign), start, start + len(p)))
