@@ -12,9 +12,9 @@ labels decide confusability of the underlying words directly.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 from .words import Word, _parse_root, _root_text, check_word, tandem_duplicate
@@ -152,21 +152,64 @@ def count_occurrences(t: Word, x: Word) -> int:
     such deletions, and a triple of pairwise-distinct symbols occurs in it
     as often as in the run-collapse.  There each occurrence ``abc`` is the
     last ``a`` of a run, a whole ``b`` run and the first ``c`` of a run of
-    ``x``: one match of ``a b+ c``.  Matches start at distinct ``a``s and
-    hold no other ``a``, so they never overlap and ``finditer`` meets each
-    once.  The greedy ``b+`` backtracks over at most one ``b`` run per
-    ``a``, so the scan is linear.
+    ``x``: one match of ``a b+ c``, and matches start at distinct ``a``s.
+    Capping every run at two symbols (``_cap_runs``) keeps each match and
+    turns its ``b`` run into ``b`` or ``bb``, so the count is that of
+    ``abc`` plus that of ``abbc`` in the capped word (``_count_capped``).
     """
-    return sum(1 for _ in _triple_pattern(t).finditer(x))
-
-
-@lru_cache(maxsize=1 << 10)
-def _triple_pattern(t: Word) -> re.Pattern[bytes]:
-    # t0 t1+ t2, one compiled pattern per triple, built on first use
     if len(t) != 3 or len(set(t)) != 3:
         raise ValueError(f"pattern must be three pairwise-distinct symbols, got {_root_text(t)}")
-    a, b, c = (re.escape(t[i : i + 1]) for i in range(3))
-    return re.compile(a + b + b"+" + c)
+    return _count_capped(t, _cap_runs(x))
+
+
+def _count_capped(t: Word, p: Word) -> int:
+    # matches of a b+ c in a word whose runs have at most two symbols;
+    # neither abc nor abbc overlaps itself, so bytes.count meets each once
+    return p.count(t) + p.count(t[:2] + t[1:])
+
+
+# byte 0 -> 1, every other byte -> 0
+_EQ = b"\x01" + bytes(255)
+
+
+def _cap_runs(x: Word) -> Word:
+    # x with every run s^k (k >= 3) cut to ss; x itself when nothing is cut.
+    # With a = x read as a little-endian integer, byte j of a ^ (a >> 8) is
+    # zero exactly when x[j] == x[j + 1]; the AND of that mark with itself
+    # shifted by one byte flags x[j + 2] as the third symbol of a run.
+    # Every step is one C-level pass, and each 1 MiB temporary is dropped
+    # as soon as the next one is built.
+    #
+    # Capping leaves the decision's outputs unchanged:
+    # 1. Cutting s^k to ss is k - 2 length-1 deduplications, so the le-3
+    #    root of the capped word is the root r of x.
+    # 2. The root stack skips every symbol equal to its top (roots._stack),
+    #    so it is in the same state after each run's first symbol in both
+    #    words, and only those symbols or the end of the word change the
+    #    depth.  The depth tables therefore correspond through the
+    #    monotone map sending the start of each run of x to the start of
+    #    that run in the capped word, and the end of x to the end of the
+    #    capped word.
+    # 3. Each region prefix x[start:end] of _peel ends at a run start or at
+    #    the end of x (last[d] is one of those), and each round starts at
+    #    the last symbol of an a run, where the capped word starts at the
+    #    last symbol of the same run; so the region prefixes of the capped
+    #    word are exactly the capped region prefixes.
+    # 4. Capping keeps every match of a b+ c (count_occurrences), and a
+    #    literal rotation of the region's triple survives it, since a run
+    #    of one symbol stays one symbol and longer runs stay runs; capping
+    #    creates no new one for the same reason.  So each region's count
+    #    and sign are unchanged.
+    n = len(x)
+    if n < 3:
+        return x
+    a = int.from_bytes(x, "little")
+    e = int.from_bytes((a ^ (a >> 8)).to_bytes(n, "little")[: n - 1].translate(_EQ), "little")
+    del a
+    e &= e >> 8
+    if not e:
+        return x
+    return bytes(compress(x, b"\x01\x01" + e.to_bytes(n - 1, "little")[: n - 2].translate(_EQ)))
 
 
 def _regions(r: Word) -> Iterator[tuple[int, RegionDescriptor]]:
@@ -203,8 +246,9 @@ _cached_region_plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_region_plan)
 
 
 def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
-    # ((count, sign), start, end) per region of the root r of x, where
-    # last is the depth table of x (roots.root_le3_depths).  x[start:end] is
+    # ((count, sign), start, end) per region of the root r of a word x
+    # whose runs have at most two symbols (_cap_runs), where last is the
+    # depth table of x (roots.root_le3_depths).  x[start:end] is
     # the longest prefix of x[start:] generated from the region, and the
     # next round starts at the last a of it.  With T = r[:offset] the part
     # of the root that earlier rounds peeled off (each region minus its
@@ -234,7 +278,7 @@ def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], 
     for depth, main, rot1, rot2, a in plan:
         end = last[depth]
         p = x[start:end]
-        count = count_occurrences(main, p)
+        count = _count_capped(main, p)
         sign = "+" if main in p or rot1 in p or rot2 in p else "-"
         yield (count, sign), start, end
         start += p.rfind(a)
@@ -250,11 +294,12 @@ def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
 def confusable(x: Word, y: Word) -> bool:
     """True iff some word descends from both ``x`` and ``y`` by duplications of length <= 3.
 
-    One root pass over each word, then one peeling round per region of the
-    shared root, each reading only the region's generated prefixes.
+    Each word's runs are capped at two symbols, then one root pass over
+    each capped word and one peeling round per region of the shared root,
+    each reading only the region's generated prefixes.
     """
-    check_word(x)
-    check_word(y)
+    x = _cap_runs(check_word(x))
+    y = _cap_runs(check_word(y))
     r, last_x = root_le3_depths(x)
     ry, last_y = root_le3_depths(y)
     if r != ry:
@@ -299,7 +344,7 @@ class Label:
 
 def compute_label(x: Word) -> Label:
     """Compute the label of ``x`` by peeling its root region by region."""
-    check_word(x)
+    x = _cap_runs(check_word(x))
     r, last = root_le3_depths(x)
     return Label(r, tuple(entry for entry, _, _ in _peel(x, r, last)))
 

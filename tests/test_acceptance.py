@@ -10,7 +10,7 @@ import time
 import pytest
 
 import tdcodes as td
-from tdcodes.confusability import _peel
+from tdcodes.confusability import _cap_runs, _peel
 from tdcodes.roots import root_le3_depths
 
 from conftest import w
@@ -331,9 +331,11 @@ def test_criterion_6_invariant_suites():
         base = bytes(rng.randrange(3) for _ in range(rng.randint(1, 6)))
         x = _random_descendant_exact(rng, base, rng.randint(len(base), 14))
         y = _random_descendant_exact(rng, base, rng.randint(len(base), 14))
-        # symbols read by full peels of both words, past their root passes
-        cost = sum(j - i for z in (x, y) for _, i, j in _peel(z, *root_le3_depths(z)))
-        if cost > 3 * (len(x) + len(y)):
+        # symbols read by full peels of both capped words, past their root
+        # passes
+        cx, cy = _cap_runs(x), _cap_runs(y)
+        cost = sum(j - i for z in (cx, cy) for _, i, j in _peel(z, *root_le3_depths(z)))
+        if cost > 3 * (len(cx) + len(cy)):
             ok = False
         label = td.compute_label(x)
         slack = len(x) - (
@@ -445,13 +447,14 @@ def _batched_descendant(rng: random.Random, root: bytes, target: int) -> bytes:
 
 
 def _spy_symbols(monkeypatch, totals: list) -> None:
-    # wrap the root-stack, scan and count functions the decision calls,
-    # under every name that refers to them in any tdcodes module, and add
-    # up the length of the word each call is handed
+    # wrap the run-capping, root-stack, scan and count functions the
+    # decision calls, under every name that refers to them in any tdcodes
+    # module, and add up the length of the word each call is handed
     import sys
 
     spied = (
-        ("confusability", "count_occurrences", 1),
+        ("confusability", "_cap_runs", 0),
+        ("confusability", "_count_capped", 1),
         ("roots", "root_le3_depths", 0),
         ("confusability", "extended_prefix", 1),
     )
@@ -497,8 +500,47 @@ def _long_root_symbol_ratios(monkeypatch) -> list[tuple[int, float]]:
     return ratios
 
 
+_ROUNDS = 15
+
+
+def _doubling_ratios(cases):
+    """Time ``confusable`` over each size's pairs, sizes doubling in order.
+
+    Each round times every size once, in increasing order, so sizes ``s``
+    and ``2s`` run back to back; a host stall then moves one round's ratio
+    of the two, not the median over rounds of that ratio.  Returns the
+    median time per size and, per doubling step, the median per-round
+    ratio.
+    """
+    import gc
+
+    timings = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(_ROUNDS):
+            row = []
+            for _, pairs in cases:
+                t0 = time.perf_counter()
+                for pair in pairs:
+                    td.confusable(*pair)
+                row.append(time.perf_counter() - t0)
+            timings.append(row)
+    finally:
+        gc.enable()
+    size_medians = [
+        (size, sorted(row[i] for row in timings)[_ROUNDS // 2])
+        for i, (size, _) in enumerate(cases)
+    ]
+    ratios = [
+        sorted(row[i + 1] / row[i] for row in timings)[_ROUNDS // 2]
+        for i in range(len(cases) - 1)
+    ]
+    return size_medians, ratios
+
+
 def test_criterion_8_near_linear_time(monkeypatch):
-    # deterministic part: on long roots the root-stack and scan functions
+    # deterministic part: on long roots the functions _spy_symbols wraps
     # are handed at most 4 (|x| + |y|) symbols per decision, exactly
     symbol_ratios = _long_root_symbol_ratios(monkeypatch)
     symbols_ok = all(ratio <= 4 for _, ratio in symbol_ratios)
@@ -522,32 +564,14 @@ def test_criterion_8_near_linear_time(monkeypatch):
         cases.append((size, (a, b), (flat, pumped), (a, c)))
     assert td.root_le3(cases[0][2][0]) == td.root_le3(cases[0][2][1]) == w("012")
     assert not td.confusable(*cases[0][2])
-    import gc
-
-    rounds = 15  # with 5 or 9, host stalls still moved small-size medians past 2.5
-    timings: dict[int, list[float]] = {size: [] for size, *_ in cases}
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):  # round-robin so transient stalls hit every size
-            for size, pair1, pair2, pair3 in cases:
-                t0 = time.perf_counter()
-                td.confusable(*pair1)
-                td.confusable(*pair2)
-                td.confusable(*pair3)
-                timings[size].append(time.perf_counter() - t0)
-    finally:
-        gc.enable()
-    medians = [(size, sorted(runs)[rounds // 2]) for size, runs in timings.items()]
-    ratios = [
-        medians[i + 1][1] / medians[i][1] for i in range(len(medians) - 1)
-    ]
+    size_medians, ratios = _doubling_ratios([(size, pairs) for size, *pairs in cases])
     ok = symbols_ok and all(r <= 2.5 for r in ratios)
-    detail = ", ".join(f"{s // 1000}k:{t * 1000:.1f}ms" for s, t in medians)
+    detail = ", ".join(f"{s // 1000}k:{t * 1000:.1f}ms" for s, t in size_medians)
     symbols = ", ".join(f"{n // 1000}k:{ratio:.2f}" for n, ratio in symbol_ratios)
     report(
         "8 near-linear-confusability",
         ok,
-        f"median of {rounds} runs per size, worst doubling ratio {max(ratios):.2f} <= 2.5 [{detail}]; "
+        f"median over {_ROUNDS} rounds of each round's doubling ratio, worst {max(ratios):.2f} "
+        f"<= 2.5 [median per size {detail}]; "
         f"long-root symbols handed per input symbol <= 4 [{symbols}]",
     )

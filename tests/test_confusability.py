@@ -26,7 +26,7 @@ from tdcodes import (
     root_le_k,
     tandem_duplicate,
 )
-from tdcodes.confusability import _expand_step, _peel, _regions, _swap_steps
+from tdcodes.confusability import _cap_runs, _expand_step, _peel, _regions, _swap_steps
 from tdcodes.roots import root_le3_depths
 
 from conftest import (
@@ -144,11 +144,13 @@ def test_count_occurrences():
     # counted in the le-2 root of the word, not in the word itself
     assert count_occurrences(w("012"), w("0112")) == 1
     assert count_occurrences(w("012"), w("011222")) == 1
+    assert count_occurrences(w("012"), w("0111112")) == 1
+    assert count_occurrences(w("012"), w("01111201112")) == 2
     with pytest.raises(ValueError):
         count_occurrences(w("011"), w("0120120"))
 
 
-# regex metacharacters among the byte symbols the count's pattern must escape
+# byte symbols that are regex metacharacters, kept among the drawn symbols
 _REGEX_SPECIAL = tuple(b"\n()*+.?[\\")
 
 
@@ -174,6 +176,47 @@ def test_count_occurrences_matches_le2_root_over_byte_alphabets(data):
     root = root_le_k(x, 2)
     for t in triples:
         assert count_occurrences(t, x) == root.count(t)
+
+
+def _cap_runs_by_loop(x):
+    out = bytearray()
+    for s in x:
+        if not (len(out) >= 2 and out[-1] == out[-2] == s):
+            out.append(s)
+    return bytes(out)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_cap_runs_matches_loop_over_byte_alphabets(data):
+    full = data.draw(st.booleans(), label="all 256 bytes")
+    if full:
+        alphabet = list(range(256))
+    else:
+        alphabet = data.draw(
+            st.lists(st.integers(0, 255), min_size=2, max_size=256, unique=True), label="alphabet"
+        )
+    runs = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(alphabet), st.integers(1, 50)), min_size=1, max_size=30
+        ),
+        label="runs",
+    )
+    x = b"".join(bytes((s,)) * k for s, k in runs)
+    if full:
+        x += bytes(data.draw(st.permutations(alphabet), label="perm"))
+    x = x[: data.draw(st.integers(1, len(x)), label="length")]
+    got = _cap_runs(x)
+    assert got == _cap_runs_by_loop(x)
+    if got == x:
+        assert got is x
+
+
+def test_cap_runs_short_words():
+    for n in range(1, 4):
+        for word in itertools.product((0, 1, 255), repeat=n):
+            x = bytes(word)
+            assert _cap_runs(x) == _cap_runs_by_loop(x)
 
 
 def test_confusable_examples():
@@ -302,14 +345,16 @@ def test_peeled_suffixes_keep_the_peeled_root(monkeypatch, rng):
         root = root_le3(random_ternary(rng, rng.randint(3, 14)))
         _, x = random_descendant_steps(rng, root, rng.randint(0, 6))
         _, y = random_descendant_steps(rng, root, rng.randint(0, 6))
+        # _peel is handed the capped words
+        capped_x, capped_y = _cap_runs(x), _cap_runs(y)
         calls.clear()
         compute_label(x)
-        assert [(cx, cr) for cx, cr, _ in calls] == [(x, root)]
+        assert [(cx, cr) for cx, cr, _ in calls] == [(capped_x, root)]
         assert len(calls[0][2]) == count_regions(root)
         _check_rounds(*calls[0])
         calls.clear()
         verdict = confusable(x, y)
-        assert [(cx, cr) for cx, cr, _ in calls] == [(x, root), (y, root)]
+        assert [(cx, cr) for cx, cr, _ in calls] == [(capped_x, root), (capped_y, root)]
         if verdict:
             assert len(calls[0][2]) == len(calls[1][2]) == count_regions(root)
         for call in calls:
@@ -335,6 +380,8 @@ def _reference_peel(x):
 
 
 def _table_peel(x):
+    # _peel on the capped word, as the decision and labels run it
+    x = _cap_runs(x)
     r, last = root_le3_depths(x)
     return list(_peel(x, r, last))
 
@@ -342,7 +389,19 @@ def _table_peel(x):
 def test_depth_table_matches_scan_exhaustive():
     # every ternary word of length <= 11
     for word in iter_ternary_words(1, 11):
-        assert _table_peel(word) == _reference_peel(word), word
+        assert _table_peel(word) == _reference_peel(_cap_runs(word)), word
+
+
+def test_capping_runs_keeps_the_peeled_entries_exhaustive():
+    # every ternary word of length <= 11: the rescan reference, which counts
+    # in the le-2 root of each prefix, gives every region the same (count,
+    # sign) on the word and on its capped word
+    for word in iter_ternary_words(1, 11):
+        capped = _cap_runs(word)
+        if capped is not word:
+            assert [e for e, _, _ in _reference_peel(word)] == [
+                e for e, _, _ in _reference_peel(capped)
+            ], word
 
 
 @pytest.mark.skipif(
@@ -352,7 +411,7 @@ def test_stretch_depth_table_matches_scan_len14():
     # every ternary word of length <= 14 up to relabeling: the root stack,
     # the region parse and the scan all commute with permuting symbols
     for word in iter_canonical_ternary(1, 14):
-        assert _table_peel(word) == _reference_peel(word), word
+        assert _table_peel(word) == _reference_peel(_cap_runs(word)), word
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -367,7 +426,38 @@ def test_depth_table_matches_scan_on_random_descendants(data):
         i = data.draw(st.integers(0, len(x) - k), label="i")
         x = tandem_duplicate(x, i, k)
     assert root_le3(x) == root
-    assert _table_peel(x) == _reference_peel(x)
+    assert _table_peel(x) == _reference_peel(_cap_runs(x))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_long_runs_keep_decision_labels_and_le2_counts(data):
+    # descendants of one root with long runs injected (each a chain of
+    # length-1 duplications): the decision, the label route and labels
+    # counted the old way, in the le-2 root of each uncapped region prefix,
+    # all agree
+    q = data.draw(st.sampled_from((3, 4, 5, 256)), label="q")
+    seed = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=40), label="seed")
+    root = root_le3(bytes(seed))
+
+    def descend(label):
+        x = root
+        for _ in range(data.draw(st.integers(0, 8), label=f"{label} steps")):
+            k = data.draw(st.integers(1, min(3, len(x))), label="k")
+            i = data.draw(st.integers(0, len(x) - k), label="i")
+            x = tandem_duplicate(x, i, k)
+        for _ in range(data.draw(st.integers(0, 4), label=f"{label} runs")):
+            i = data.draw(st.integers(0, len(x) - 1), label="at")
+            x = x[:i] + x[i : i + 1] * data.draw(st.integers(1, 9), label="extra") + x[i:]
+        return x
+
+    x, y = descend("x"), descend("y")
+    old_x = Label(root, tuple(e for e, _, _ in _reference_peel(x)))
+    old_y = Label(root, tuple(e for e, _, _ in _reference_peel(y)))
+    assert compute_label(x) == old_x
+    assert compute_label(y) == old_y
+    verdict = confusable(x, y)
+    assert verdict == confusable_by_labels(x, y) == labels_confusable(old_x, old_y)
 
 
 def test_label_route_agrees_with_decision(rng):
