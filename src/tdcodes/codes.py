@@ -400,6 +400,8 @@ def assemble_lower_bound(n: int) -> Code:
     Its size is ``assemble_lower_bounds([n])[n]`` with no size cache: the
     cache's sizes come without words, so it plays no part here.
     """
+    if n < 1:
+        raise ValueError("lengths must be positive")
     table = _size_table()
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):

@@ -166,12 +166,29 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
     """Labels of every canonical length-``n`` ternary word, grouped by its root.
 
     Descendants of a canonical root are exactly the canonical members of
-    its cone, so one sweep over canonical words covers every root's label
-    set at this length.
+    its cone, so the labels of the canonical length-``n`` words are every
+    root's label set at this length.  The sweep labels only their images
+    under ``_cap_runs``, the canonical words with no run of three symbols
+    that have length ``n`` or, shorter, hold a run ``ss``:
+
+    1. ``compute_label`` caps runs first, and capping is idempotent, so
+       ``compute_label(w) == compute_label(_cap_runs(w))``, root included.
+    2. A length-``n`` word with no run of three is its own cap.
+    3. A word with a run of three or more caps to a shorter word that
+       holds ``ss`` where that run was.
+    4. Conversely, a shorter run-capped word holding ``ss`` is the cap of
+       the length-``n`` word that pumps that run to the missing length.
+    5. Capping and pumping keep the order in which symbols first occur,
+       so canonical words map to canonical words.
     """
+    if n < 1:
+        raise ValueError(f"length must be positive, got {n}")
     buckets: dict[Word, set[Label]] = {}
-    # canonical words: symbols first occur in the order 0, 1, 2
-    for w in _walk(n, n, 3, 0, canonical=True):
+    # canonical words (symbols first occur in the order 0, 1, 2) of length
+    # 1..n with no run of three
+    for w in _walk(1, n, 3, 0, canonical=True):
+        if len(w) < n and b"\0\0" not in w and b"\1\1" not in w and b"\2\2" not in w:
+            continue
         label = compute_label(w)
         buckets.setdefault(label.root, set()).add(label)
     return buckets
@@ -210,11 +227,9 @@ def optimal_size(n: int, cache: SizeCache | None = None) -> int:
     """Exact optimal ternary code size at length ``n``.
 
     Sums the per-root optima over all canonical roots, weighted by orbit
-    size.  One sweep over canonical words of length ``n`` supplies every
-    root's label set.
+    size.  One label sweep (``labels_by_root``) supplies every root's
+    label set.
     """
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
     total = 0
     for root, labels in labels_by_root(n).items():
         _, orbit = canonical_form(root)

@@ -27,11 +27,15 @@ __all__ = [
 
 
 def _extensions(prefix: bytearray, q: int, k: int) -> Iterator[int]:
-    # symbols that keep the prefix free of duplicates vv with |v| <= k
-    # (k = 0 allows every symbol); only duplicates ending at the new
-    # position need checking, and they reach back at most 2k - 1 symbols
+    # symbols that keep the prefix free of duplicates vv with |v| <= k; only
+    # duplicates ending at the new position need checking, and they reach
+    # back at most 2k - 1 symbols.  k = 0 (the label sweep's walk over
+    # run-capped words) refuses only a symbol equal to the last two, so
+    # the prefix keeps no run of three symbols
     n = len(prefix)
     for s in range(q):
+        if k == 0 and n >= 2 and prefix[-1] == s == prefix[-2]:
+            continue
         if k >= 1 and n >= 1 and prefix[-1] == s:
             continue
         if k >= 2 and n >= 3 and prefix[-2] == s and prefix[-3] == prefix[-1]:
@@ -48,7 +52,7 @@ def _extensions(prefix: bytearray, q: int, k: int) -> Iterator[int]:
 
 
 def _walk(n_min: int, n_max: int, q: int, k: int, canonical: bool = False) -> Iterator[Word]:
-    # depth-first over the words free of duplicates vv with |v| <= k, each
+    # depth-first over the words _extensions admits symbol by symbol, each
     # yielded before its extensions once its length reaches n_min (>= 1);
     # ``canonical`` keeps only words whose symbols first occur in the order
     # 0, 1, 2, ..., one per relabeling orbit

@@ -208,6 +208,19 @@ def test_errors_show_words_in_text_form(capsys):
     assert code == 2 and err == "error: no prefix of 102 is generated from region 012\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("optimal", "--n", "0"), "length must be positive, got 0"),
+        (("code", "assemble", "--n", "0"), "lengths must be positive"),
+        (("code", "assemble", "--n", "-1"), "lengths must be positive"),
+    ],
+)
+def test_nonpositive_lengths_are_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "--budget-states", "50", "cone", "012", "--max-len", "12")
     assert code == 3 and "budget" in err

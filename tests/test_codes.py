@@ -255,6 +255,14 @@ def test_assemble_lower_bound_small():
     assert len(assemble_lower_bound(6)) == 117
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_assemble_lower_bound_refuses_nonpositive_length(n):
+    with pytest.raises(ValueError, match="lengths must be positive"):
+        assemble_lower_bound(n)
+    with pytest.raises(ValueError, match="lengths must be positive"):
+        assemble_lower_bounds([n])
+
+
 def test_assemble_lower_bounds_without_cache():
     # the table's lower column for n = 1..24 with no size cache
     lower = [

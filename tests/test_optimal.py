@@ -1,5 +1,6 @@
 import itertools
 import multiprocessing
+import os
 import random
 import re
 
@@ -26,9 +27,12 @@ from tdcodes import (
     count_regions,
     validate_code,
 )
+from tdcodes import optimal
+from tdcodes.confusability import _cap_runs
 from tdcodes.optimal import SizeCache, _check_witness, _max_clique_masks
+from tdcodes.oracle import _walk
 
-from conftest import w
+from conftest import iter_canonical_ternary, w
 
 
 def test_graph_examples():
@@ -157,6 +161,13 @@ def test_clique_witness_realizes_word_code():
     assert validate_code(Code(n, 3, words, "clique-witness"))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_lengths_are_refused(n):
+    for f in (labels_by_root, optimal_size):
+        with pytest.raises(ValueError, match=f"length must be positive, got {n}"):
+            f(n)
+
+
 def test_optimal_size_small_lengths():
     assert optimal_size(1) == 3
     assert optimal_size(2) == 9
@@ -165,12 +176,65 @@ def test_optimal_size_small_lengths():
 
 
 def test_labels_by_root_matches_cone_enumeration():
-    # the sweep and the cone reach each root's words independently; only
-    # the per-root region plans behind compute_label are shared
+    # the sweep reaches the run-capped images of each root's words and the
+    # cone reaches every word, independently; only the per-root region
+    # plans behind compute_label are shared
     buckets = labels_by_root(10)
     assert len(buckets) == 98
     for root, labels in buckets.items():
         assert labels == enumerate_labels(root, 10), root
+
+
+def _labels_of_every_word(n: int) -> dict[bytes, set[Label]]:
+    # compute_label over every canonical ternary word of length n, from
+    # itertools.product with a first-occurrence filter, not from the walk
+    # the sweep uses
+    buckets: dict[bytes, set[Label]] = {}
+    for x in iter_canonical_ternary(n, n):
+        label = compute_label(x)
+        buckets.setdefault(label.root, set()).add(label)
+    return buckets
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_labels_by_root_equals_every_word_reference(n):
+    assert labels_by_root(n) == _labels_of_every_word(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+@pytest.mark.parametrize("n", [12, 13])
+def test_stretch_labels_by_root_equals_every_word_reference(n):
+    assert labels_by_root(n) == _labels_of_every_word(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sweep_labels_exactly_the_run_capped_images(n, monkeypatch):
+    # the words the sweep hands compute_label are the caps of the canonical
+    # length-n words, each once
+    labelled = []
+
+    def recording(x):
+        labelled.append(x)
+        return compute_label(x)
+
+    monkeypatch.setattr(optimal, "compute_label", recording)
+    labels_by_root(n)
+    assert len(labelled) == len(set(labelled))
+    assert set(labelled) == {_cap_runs(x) for x in iter_canonical_ternary(n, n)}
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_walk_k0_yields_canonical_words_without_runs_of_three(m):
+    walked = list(_walk(1, m, 3, 0, canonical=True))
+    expect = {
+        x
+        for x in iter_canonical_ternary(1, m)
+        if not any(x[i] == x[i + 1] == x[i + 2] for i in range(len(x) - 2))
+    }
+    assert len(walked) == len(set(walked))
+    assert set(walked) == expect
 
 
 @pytest.mark.parametrize(
