@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from importlib import resources
+from typing import Iterable, Iterator
 
 from .words import (
     ResourceBudgetError,
@@ -31,8 +32,6 @@ from .oracle import descendant_cone, enumerate_irreducible, irreducible_counts, 
 from .codes import (
     assemble_lower_bound,
     assemble_lower_bounds,
-    code_to_json,
-    code_to_text,
     find_confusable_pair,
     irreducible_code,
     one_region_code,
@@ -135,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict | None, text_lines: Iterable[str]) -> None:
+    # table and verify pass no payload: _run refuses --format json for them
     if args.format == "json":
         print(json.dumps(payload))
     else:
@@ -160,12 +160,7 @@ def _run(args) -> int:
     elif args.command == "confuse":
         x, y = parse_word(args.x, q), parse_word(args.y, q)
         result = confusable(x, y)
-        _emit(
-            args,
-            {"confusable": result},
-            ["confusable" if result else "not-confusable"],
-        )
-        return 0
+        _emit(args, {"confusable": result}, ["confusable" if result else "not-confusable"])
     elif args.command == "label":
         label = compute_label(parse_word(args.word, q))
         payload = {
@@ -183,21 +178,11 @@ def _run(args) -> int:
             "abc": render_word(desc.abc, q),
             "ell": desc.ell,
         }
-        lines = [
-            f"main\t{payload['main']}",
-            f"region\t{payload['region']}",
-            f"w\t{payload['w']}",
-            f"abc\t{payload['abc']}",
-            f"ell\t{desc.ell}",
-        ]
         if args.in_word:
             x = parse_word(args.in_word, q)
-            ext = extended_prefix(desc, x)
-            cut = cut_prefix(r, x)
-            payload["extended"] = render_word(ext, q)
-            payload["cut"] = render_word(cut, q)
-            lines += [f"extended\t{payload['extended']}", f"cut\t{payload['cut']}"]
-        _emit(args, payload, lines)
+            payload["extended"] = render_word(extended_prefix(desc, x), q)
+            payload["cut"] = render_word(cut_prefix(r, x), q)
+        _emit(args, payload, [f"{key}\t{value}" for key, value in payload.items()])
     elif args.command == "dup":
         x = parse_word(args.word, q)
         out = tandem_duplicate(x, args.i, args.k)
@@ -220,37 +205,35 @@ def _run(args) -> int:
     elif args.command == "oracle":
         x, y = parse_word(args.x, q), parse_word(args.y, q)
         witness = oracle_confusable(x, y, args.max_len, budget=args.budget_states)
-        if witness is None:
-            _emit(args, {"witness": None}, ["no-witness-up-to-bound"])
-        else:
-            _emit(args, {"witness": render_word(witness, q)}, [render_word(witness, q)])
+        text = None if witness is None else render_word(witness, q)
+        _emit(args, {"witness": text}, [text or "no-witness-up-to-bound"])
     elif args.command == "code":
         code = _build_code(args, q)
         if args.validate and not validate_code(code):
             pair = find_confusable_pair(code)
             print(f"invalid: {render_word(pair[0], q)} ~ {render_word(pair[1], q)}", file=sys.stderr)
             return 2
-        if args.format == "json":
-            print(code_to_json(code))
-        else:
-            sys.stdout.write(code_to_text(code))
+        payload = {
+            "n": code.n,
+            "q": code.q,
+            "size": len(code.words),
+            "provenance": code.provenance,
+            "words": [render_word(w, code.q) for w in code.sorted_words()],
+        }
+        header = f"{code.n} {code.q} {payload['size']} {code.provenance}"
+        _emit(args, payload, [header, *payload["words"]])
     elif args.command == "bounds":
         payload = {
             "n": args.n,
             "refined_upper": refined_upper_bound(args.n),
             "le2_upper": le2_upper_bound(args.n),
         }
-        lines = [
-            f"refined_upper\t{payload['refined_upper']}",
-            f"le2_upper\t{payload['le2_upper']}",
-        ]
         if (args.i is None) != (args.m is None):
             missing = "--m" if args.m is None else "--i"
             raise ValueError(f"bounds needs --i and --m together; {missing} is missing")
         if args.i is not None:
             payload["region_vector_upper"] = region_vector_upper_bound(args.n, args.i, args.m)
-            lines.append(f"region_vector_upper\t{payload['region_vector_upper']}")
-        _emit(args, payload, lines)
+        _emit(args, payload, [f"{key}\t{value}" for key, value in payload.items() if key != "n"])
     elif args.command == "optimal":
         cache = _size_cache(args)
         if args.root:
@@ -261,11 +244,11 @@ def _run(args) -> int:
             size = optimal_size(args.n, cache=cache)
             _emit(args, {"n": args.n, "size": size}, [str(size)])
     elif args.command == "table":
-        _run_table(args)
+        _emit(args, None, _table_lines(args))
     elif args.command == "verify":
         report = verify_fixtures()
-        for name, ok, detail in report:
-            print(f"{'PASS' if ok else 'FAIL'}\t{name}\t{detail}")
+        lines = [f"{'PASS' if ok else 'FAIL'}\t{name}\t{detail}" for name, ok, detail in report]
+        _emit(args, None, lines)
         if not all(ok for _, ok, _ in report):
             return 1
     return 0
@@ -295,19 +278,24 @@ def _build_code(args, q):
     return recursive_code(r, args.n)
 
 
-def _run_table(args) -> None:
+def _bound_rows(n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    # (n, constr1, eq1, prop4) for n = 1..n_max: the cumulative irreducible
+    # count, the refined upper bound and the le-2 upper bound
+    counts = irreducible_counts(n_max, 3, 3)
+    constr1 = 0
+    for n in range(1, n_max + 1):
+        constr1 += counts[n]
+        yield n, constr1, refined_upper_bound(n), le2_upper_bound(n)
+
+
+def _table_lines(args) -> Iterator[str]:
+    # one row at a time, so that each row prints as soon as it is known
     cache = _size_cache(args)
-    counts3 = irreducible_counts(args.n_max, 3, 3)
-    print("n\tconstr1\tlower\teq1\tprop4\toptimal")
-    cumulative = 0
+    yield "n\tconstr1\tlower\teq1\tprop4\toptimal"
     lowers = assemble_lower_bounds(range(1, args.n_max + 1), cache=cache) if args.n_max > 0 else {}
-    for n in range(1, args.n_max + 1):
-        cumulative += counts3[n]
-        lower = lowers[n]
+    for n, constr1, eq1, prop4 in _bound_rows(args.n_max):
         optimal = optimal_size(n, cache=cache) if n <= args.optimal_up_to else ""
-        print(
-            f"{n}\t{cumulative}\t{lower}\t{refined_upper_bound(n)}\t{le2_upper_bound(n)}\t{optimal}"
-        )
+        yield f"{n}\t{constr1}\t{lowers[n]}\t{eq1}\t{prop4}\t{optimal}"
 
 
 def _fixture_lines(name: str) -> list[str]:
@@ -325,31 +313,24 @@ def verify_fixtures() -> list[tuple[str, bool, str]]:
     row, and every worked example.  The table's lower and optimal columns
     are not checked.
     """
-    report: list[tuple[str, bool, str]] = []
-
     lines = _fixture_lines("reference_table.tsv")
     header = lines[0].split("\t")
     rows = [dict(zip(header, ln.split("\t"))) for ln in lines[1:] if ln.strip()]
     n_max = max(int(r["n"]) for r in rows)
-    counts3 = irreducible_counts(n_max, 3, 3)
-    cumulative = 0
-    constr1_ok = eq1_ok = prop4_ok = True
+    derived = {n: cells for n, *cells in _bound_rows(n_max)}
+    failed = set()
     detail = []
     for row in rows:
         n = int(row["n"])
-        cumulative += counts3[n]
-        if cumulative != int(row["constr1"]):
-            constr1_ok = False
-            detail.append(f"constr1@{n}")
-        if refined_upper_bound(n) != int(row["eq1"]):
-            eq1_ok = False
-            detail.append(f"eq1@{n}")
-        if le2_upper_bound(n) != int(row["prop4"]):
-            prop4_ok = False
-            detail.append(f"prop4@{n}")
-    report.append(("table.constr1", constr1_ok, "cumulative irreducible counts"))
-    report.append(("table.eq1", eq1_ok, f"refined upper bound, n<={n_max}"))
-    report.append(("table.prop4", prop4_ok, f"le2 upper bound, n<={n_max}"))
+        for column, value in zip(("constr1", "eq1", "prop4"), derived[n]):
+            if value != int(row[column]):
+                failed.add(column)
+                detail.append(f"{column}@{n}")
+    report = [
+        ("table.constr1", "constr1" not in failed, "cumulative irreducible counts"),
+        ("table.eq1", "eq1" not in failed, f"refined upper bound, n<={n_max}"),
+        ("table.prop4", "prop4" not in failed, f"le2 upper bound, n<={n_max}"),
+    ]
     if detail:
         report.append(("table.mismatches", False, ",".join(detail)))
 
@@ -401,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

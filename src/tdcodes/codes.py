@@ -12,12 +12,11 @@ constructed code can be checked against the confusability decision.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .words import Word, _root_text, check_word, is_irreducible, pad_tail, render_word
+from .words import Word, _root_text, check_word, is_irreducible, pad_tail
 from .words import tandem_duplicate
 from .confusability import _regions, confusable, main_and_region
 from .oracle import _walk, enumerate_irreducible, canonical_form
@@ -38,8 +37,6 @@ __all__ = [
     "find_confusable_pair",
     "assemble_lower_bound",
     "assemble_lower_bounds",
-    "code_to_text",
-    "code_to_json",
 ]
 
 
@@ -411,21 +408,3 @@ def assemble_lower_bound(n: int) -> Code:
             relabel = bytes.maketrans(bytes(range(d)), bytes(image))
             words |= {x.translate(relabel) for x in best}
     return Code(n, 3, frozenset(words), "assembled")
-
-
-def code_to_text(code: Code) -> str:
-    lines = [f"{code.n} {code.q} {len(code.words)} {code.provenance}"]
-    lines += [render_word(w, code.q) for w in code.sorted_words()]
-    return "\n".join(lines) + "\n"
-
-
-def code_to_json(code: Code) -> str:
-    return json.dumps(
-        {
-            "n": code.n,
-            "q": code.q,
-            "size": len(code.words),
-            "provenance": code.provenance,
-            "words": [render_word(w, code.q) for w in code.sorted_words()],
-        }
-    )

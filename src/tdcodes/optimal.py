@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .words import Word, _parse_root, _root_text
+from .roots import root_le3
 from .confusability import Label, compute_label, labels_confusable
 from .oracle import _walk, enumerate_labels, canonical_form
 
@@ -91,9 +92,14 @@ def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
     return size, tuple(sorted(label for v, label in enumerate(graph.vertices) if mask >> v & 1))
 
 
-def _check_witness(root: Word, size: int, witness: tuple[Label, ...]) -> None:
-    # a cached size is trusted only with a witness code of that size: labels
-    # of the line's root, pairwise non-confusable
+def _check_line(root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
+    # a cached size is trusted only for a root (an irreducible word, its own
+    # le-3 root) at a length it fits in, with a witness code of that size:
+    # labels of the line's root, pairwise non-confusable
+    if root_le3(root) != root:
+        raise ValueError(f"{_root_text(root)} is not irreducible, so it is not a root")
+    if n < len(root):
+        raise ValueError(f"target length {n} below root length {len(root)}")
     if len(witness) != size:
         raise ValueError(f"size {size} but {len(witness)} witness labels")
     for i, label in enumerate(witness):
@@ -109,8 +115,9 @@ class SizeCache:
 
     Line format: ``canonical_root<TAB>n<TAB>size<TAB>witness-labels`` with
     the root written as in a label and the witness labels ";"-joined.  The
-    file is append-only; on load the last entry for a key wins, and every
-    line's witness must hold ``size`` labels of its root, pairwise
+    file is append-only; on load the last entry for a key wins.  Every
+    line's root must be irreducible and no longer than ``n``, and its
+    witness must hold ``size`` labels of that root, pairwise
     non-confusable.  With no path the cache lives in memory only.
     """
 
@@ -132,9 +139,9 @@ class SizeCache:
                     witness = tuple(
                         Label.parse(piece) for piece in witness_text.split(";") if piece
                     )
-                    size = int(size_text)
-                    _check_witness(root, size, witness)
-                    self._mem[(root, int(n_text))] = (size, witness)
+                    n, size = int(n_text), int(size_text)
+                    _check_line(root, n, size, witness)
+                    self._mem[(root, n)] = (size, witness)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed size-cache line: {exc}") from exc
 
@@ -144,7 +151,7 @@ class SizeCache:
     def put(self, root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
         if self._mem.get((root, n)) == (size, witness):
             return
-        _check_witness(root, size, witness)
+        _check_line(root, n, size, witness)
         self._mem[(root, n)] = (size, witness)
         if self.path:
             line = "\t".join(

@@ -65,12 +65,23 @@ def test_region_command(capsys):
     assert payload["cut"] == "01102021"
 
 
+def test_region_command_text(capsys):
+    lines = ["main\t102", "region\t0102", "w\t01", "abc\t021", "ell\t0"]
+    code, out, err = run(capsys, "region", "010201")
+    assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+    lines += ["extended\t0110202102", "cut\t01102021"]
+    code, out, err = run(capsys, "region", "010201", "--in-word", "01102021020120111")
+    assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+
+
 def test_dup_and_irr_commands(capsys):
     code, out, _ = run(capsys, "dup", "01210", "1", "3")
     assert code == 0 and out.strip() == "01211210"
     code, out, _ = run(capsys, "irr", "3", "--count")
     rows = dict(line.split("\t") for line in out.strip().splitlines())
     assert rows == {"1": "3", "2": "6", "3": "12"}
+    code, out, _ = run(capsys, "--format", "json", "irr", "4", "--count")
+    assert (code, out) == (0, '{"counts": {"1": 3, "2": 6, "3": 12, "4": 18}}\n')
 
 
 def test_cone_and_oracle_commands(capsys):
@@ -115,12 +126,22 @@ def test_code_command_text_and_json(capsys):
         assert exc.value.code == 2
 
 
+def test_code_command_output_bytes(capsys):
+    code, out, err = run(capsys, "code", "one-region", "--root", "012", "--n", "6")
+    assert (code, out, err) == (0, "6 3 2 one-region\n011222\n012012\n", "")
+    code, out, err = run(capsys, "--format", "json", "code", "one-region", "--root", "012", "--n", "6")
+    want = '{"n": 6, "q": 3, "size": 2, "provenance": "one-region", "words": ["011222", "012012"]}\n'
+    assert (code, out, err) == (0, want, "")
+
+
 def test_bounds_and_optimal_commands(capsys):
     code, out, _ = run(capsys, "--format", "json", "bounds", "--n", "6", "--i", "3", "--m", "1")
     payload = json.loads(out)
     assert payload["refined_upper"] == 117
     assert payload["le2_upper"] == 117
     assert payload["region_vector_upper"] == 2
+    code, out, _ = run(capsys, "bounds", "--n", "12", "--i", "5", "--m", "2")
+    assert (code, out) == (0, "refined_upper\t1941\nle2_upper\t2253\nregion_vector_upper\t6\n")
     # --i and --m come together; with one of them the other is named
     code, out, err = run(capsys, "bounds", "--n", "12", "--i", "5")
     assert code == 2 and out == "" and "--m is missing" in err
@@ -153,6 +174,33 @@ def test_cache_path_from_environment(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "optimal", "--root", "012", "--n", "7")
     assert code == 0 and out.strip() == "2"
     assert SizeCache(str(path)).get(parse_word("012"), 7)[0] == 2
+
+
+def test_cache_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    code, out, err = run(capsys, "--cache", str(tmp_path), "optimal", "--n", "3")
+    assert code == 2 and out == "" and err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "line, argv, message",
+    [
+        (
+            "0110\t5\t1\t0110:",
+            ("optimal", "--root", "0110", "--n", "5"),
+            "0110 is not irreducible, so it is not a root",
+        ),
+        ("012\t2\t1\t012:", ("optimal", "--root", "012", "--n", "2"), "target length 2 below root length 3"),
+    ],
+    ids=["not-a-root", "below-root-length"],
+)
+def test_cache_lines_for_no_root_are_errors(tmp_path, capsys, line, argv, message):
+    # a hand-edited line cannot answer for a word that is not a root, or
+    # for a length its root does not fit in
+    path = tmp_path / "cache.tsv"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "--cache", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:1: malformed size-cache line: {message}\n"
 
 
 def test_no_size_cache_without_a_file(monkeypatch, capsys):
@@ -249,6 +297,41 @@ def test_verify_fixtures_small():
     details = {name: detail for name, _, detail in report}
     assert details["table.eq1"] == "refined upper bound, n<=30"
     assert details["table.prop4"] == "le2 upper bound, n<=30"
+
+
+def test_verify_fixtures_reports_mismatched_rows(monkeypatch):
+    import tdcodes.cli
+
+    fixture_lines = tdcodes.cli._fixture_lines
+
+    def corrupted(name):
+        lines = fixture_lines(name)
+        if name == "reference_table.tsv":
+            header = lines[0].split("\t")
+            for n in (5, 17):
+                cells = lines[n].split("\t")
+                for column in ("constr1", "eq1"):
+                    at = header.index(column)
+                    cells[at] = str(int(cells[at]) + 1)
+                lines[n] = "\t".join(cells)
+        return lines
+
+    monkeypatch.setattr(tdcodes.cli, "_fixture_lines", corrupted)
+    report = verify_fixtures()
+    assert [name for name, _, _ in report] == [
+        "table.constr1",
+        "table.eq1",
+        "table.prop4",
+        "table.mismatches",
+        "worked-examples",
+    ]
+    assert report[:4] == [
+        ("table.constr1", False, "cumulative irreducible counts"),
+        ("table.eq1", False, "refined upper bound, n<=30"),
+        ("table.prop4", True, "le2 upper bound, n<=30"),
+        ("table.mismatches", False, "constr1@5,eq1@5,constr1@17,eq1@17"),
+    ]
+    assert report[4][1]
 
 
 def test_verify_without_asserts(tmp_path):

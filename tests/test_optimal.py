@@ -29,7 +29,7 @@ from tdcodes import (
 )
 from tdcodes import optimal
 from tdcodes.confusability import _cap_runs
-from tdcodes.optimal import SizeCache, _check_witness, _max_clique_masks
+from tdcodes.optimal import SizeCache, _check_line, _max_clique_masks
 from tdcodes.oracle import _walk
 
 from conftest import iter_canonical_ternary, w
@@ -338,8 +338,8 @@ def test_size_cache_corrupted_byte_is_reported_or_checked(cache_file, data):
     except ValueError as exc:
         assert re.match(re.escape(str(path)) + r":\d+: malformed size-cache line", str(exc)), exc
         return
-    for (root, _), (size, witness) in cache._mem.items():
-        _check_witness(root, size, witness)
+    for (root, n), (size, witness) in cache._mem.items():
+        _check_line(root, n, size, witness)
 
 
 def _append_entries(path, root, witness, ns, barrier):
@@ -354,14 +354,16 @@ def test_size_cache_concurrent_writers(tmp_path):
     # in append mode (O_APPEND) and sends each line in one write, so lines
     # of about 18 KB from three processes never interleave
     path = str(tmp_path / "cache.tsv")
-    root = bytes(i % 3 for i in range(6000))
+    # an irreducible root, written at lengths it fits in
+    root = bytes((0, 1, 2, 1)[i % 4] for i in range(6000))
     witness = (Label(root, ((1, "-"),)), Label(root, ((2, "+"),)))
     writers, lines = 3, 300
+    lengths = range(len(root), len(root) + writers * lines)
     barrier = multiprocessing.Barrier(writers)
     procs = [
         multiprocessing.Process(
             target=_append_entries,
-            args=(path, root, witness, range(k * lines, (k + 1) * lines), barrier),
+            args=(path, root, witness, lengths[k * lines : (k + 1) * lines], barrier),
         )
         for k in range(writers)
     ]
@@ -372,7 +374,7 @@ def test_size_cache_concurrent_writers(tmp_path):
         assert proc.exitcode == 0
     cache = SizeCache(path)
     assert len(cache) == writers * lines
-    assert all(cache.get(root, n) == (2, witness) for n in range(writers * lines))
+    assert all(cache.get(root, n) == (2, witness) for n in lengths)
 
 
 @pytest.mark.parametrize(
@@ -381,6 +383,8 @@ def test_size_cache_concurrent_writers(tmp_path):
         "012\t9\t3\t012:(1,-);012:(2,+)",  # hand-edited size
         "012\t9\t2\t012:(1,+);012:(2,+)",  # confusable witness labels
         "012\t9\t2\t012:(1,-);0120:(2,+)",  # a label of another root
+        "0110\t5\t1\t0110:",  # a word that is not a root
+        "012\t2\t1\t012:",  # a length below the root's
     ],
 )
 def test_size_cache_rejects_bad_witness(tmp_path, capsys, line):
