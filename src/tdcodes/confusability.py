@@ -14,10 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import Iterator
 
-from .words import Word, _parse_root, _root_text, check_word, tandem_duplicate
+from .words import (
+    Word,
+    _delete,
+    _equal_next,
+    _free_byte,
+    _parse_root,
+    _root_text,
+    check_word,
+    tandem_duplicate,
+)
 from .roots import root_le3_depths
 
 __all__ = [
@@ -168,17 +176,12 @@ def _count_capped(t: Word, p: Word) -> int:
     return p.count(t) + p.count(t[:2] + t[1:])
 
 
-# byte 0 -> 1, every other byte -> 0
-_EQ = b"\x01" + bytes(255)
-
-
 def _cap_runs(x: Word) -> Word:
     # x with every run s^k (k >= 3) cut to ss; x itself when nothing is cut.
-    # With a = x read as a little-endian integer, byte j of a ^ (a >> 8) is
-    # zero exactly when x[j] == x[j + 1]; the AND of that mark with itself
-    # shifted by one byte flags x[j + 2] as the third symbol of a run.
-    # Every step is one C-level pass, and each 1 MiB temporary is dropped
-    # as soon as the next one is built.
+    # Byte j of the mask e of symbols equal to their right neighbour
+    # (words._equal_next), ANDed with e >> 8, flags x[j + 2] as the third
+    # symbol of a run, and words._delete cuts the flagged symbols with one
+    # translate.  Every step is one C-level pass.
     #
     # Capping leaves the decision's outputs unchanged:
     # 1. Cutting s^k to ss is k - 2 length-1 deduplications, so the le-3
@@ -204,12 +207,11 @@ def _cap_runs(x: Word) -> Word:
     if n < 3:
         return x
     a = int.from_bytes(x, "little")
-    e = int.from_bytes((a ^ (a >> 8)).to_bytes(n, "little")[: n - 1].translate(_EQ), "little")
-    del a
+    e = _equal_next(a, n)
     e &= e >> 8
     if not e:
         return x
-    return bytes(compress(x, b"\x01\x01" + e.to_bytes(n - 1, "little")[: n - 2].translate(_EQ)))
+    return _delete(x, a, e << 16, _free_byte(x))
 
 
 def _regions(r: Word) -> Iterator[tuple[int, RegionDescriptor]]:

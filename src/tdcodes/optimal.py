@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .words import Word, _parse_root, _root_text
 from .roots import root_le3
-from .confusability import Label, compute_label, labels_confusable
+from .confusability import Label, compute_label, count_regions, labels_confusable
 from .oracle import _walk, enumerate_labels, canonical_form
 
 __all__ = [
@@ -95,16 +95,23 @@ def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
 def _check_line(root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
     # a cached size is trusted only for a root (an irreducible word, its own
     # le-3 root) at a length it fits in, with a witness code of that size:
-    # labels of the line's root, pairwise non-confusable
+    # labels of the line's root with one entry per region, pairwise
+    # non-confusable
     if root_le3(root) != root:
         raise ValueError(f"{_root_text(root)} is not irreducible, so it is not a root")
     if n < len(root):
         raise ValueError(f"target length {n} below root length {len(root)}")
     if len(witness) != size:
         raise ValueError(f"size {size} but {len(witness)} witness labels")
+    regions = count_regions(root)
     for i, label in enumerate(witness):
         if label.root != root:
             raise ValueError(f"witness label {label.text()} is not of the line's root")
+        if len(label.entries) != regions:
+            raise ValueError(
+                f"witness label {label.text()} has {len(label.entries)} entries,"
+                f" not {regions}, one per region of its root"
+            )
         for other in witness[:i]:
             if labels_confusable(label, other):
                 raise ValueError(f"witness labels {other.text()} and {label.text()} are confusable")
@@ -117,8 +124,9 @@ class SizeCache:
     the root written as in a label and the witness labels ";"-joined.  The
     file is append-only; on load the last entry for a key wins.  Every
     line's root must be irreducible and no longer than ``n``, and its
-    witness must hold ``size`` labels of that root, pairwise
-    non-confusable.  With no path the cache lives in memory only.
+    witness must hold ``size`` labels of that root with one entry per
+    region, pairwise non-confusable.  With no path the cache lives in
+    memory only.
     """
 
     def __init__(self, path: str | None = None):

@@ -4,12 +4,17 @@ Every word has exactly one root under deduplications of one fixed length k,
 and exactly one root under deduplications of length at most k for k in
 {1, 2, 3}.  Because the root is unique, any maximal removal order reaches
 it; the implementations here consume the word left to right and keep the
-root of the consumed prefix on a stack.
+root of the consumed prefix on a stack.  On long words the le-3 depth
+table first drops the inner copies of every run of three or more equal
+aligned triples with C-level byte operations, so the stack reads at most
+ten symbols of a pumped period-3 factor, whatever its length.
 """
 
 from __future__ import annotations
 
-from .words import Word
+from itertools import compress
+
+from .words import _EQ, Word, _delete, _equal_next, _free_byte
 
 __all__ = [
     "root_le_k",
@@ -36,7 +41,67 @@ def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
     """
     if len(x) == 0:
         raise ValueError("empty word has no root")
-    return _stack(x, 3)
+    if len(x) < _TRIPLE_FLOOR:
+        return _stack(x, 3)
+    return _stack_triples(x)
+
+
+# Words shorter than this go straight to the stack.  Finding the repeated
+# blocks costs about 5 us per call plus 8 ns per symbol, a twentieth of the
+# stack's cost per symbol, whatever it drops.  On descendants of short
+# roots grown by duplications and run-capped, the pre-pass broke even
+# between 768 and 1,024 symbols (2-vCPU Xeon, Python 3.11); below the
+# floor fall the label sweep's and the cone's words, of at most a few
+# dozen symbols.
+_TRIPLE_FLOOR = 1024
+
+
+def _stack_triples(y: Word) -> tuple[Word, list[int]]:
+    # _stack(y, 3) after dropping repeated aligned triples.  Cut y into
+    # aligned blocks y[3k:3k + 3]; in every run of three or more equal
+    # blocks keep the first and the last and drop the inner ones, then run
+    # the stack on what is left, z, and map its depth table back.
+    #
+    # Block k equals block k + 1 exactly when the phase slices y[i::3] all
+    # have equal symbols at k and k + 1, so the AND e of their three
+    # equal-neighbour masks (words._equal_next) marks the blocks equal to
+    # the next one, and e & (e << 8) the inner blocks of each run.
+    #
+    # This leaves the root and the depth table unchanged.  Write phi(j) for
+    # the position in y of the j-th symbol of z, and phi(len(z)) = len(y).
+    # (a) Each dropped block is followed by an equal block, so dropping it
+    #     is a length-3 deduplication and z has the root of y.
+    # (b) If y[j - 3:j] == y[j:j + 3], then y[:j + 3] deduplicates to
+    #     y[:j], and the stack after j + 3 symbols, the root of that
+    #     prefix, equals the stack after j.  Inside a run of equal blocks
+    #     y[3s:3t + 3] this holds for every j with 3s + 3 <= j <= 3t, so
+    #     each prefix length that ends inside a dropped block has the stack
+    #     of a prefix length three symbols later, and in the end that of a
+    #     length ending in the kept last block t.
+    # (c) last[d] is the largest prefix length whose stack has depth d, so
+    #     by (b) it is never a length that ends inside a dropped block, and
+    #     every depth reached at such a length is reached again later.
+    # (d) For every other length phi(j), z[:j] is y[:phi(j)] with each
+    #     dropped block of it deleted as the second copy of the block
+    #     before it, so both prefixes have one root.  phi is increasing,
+    #     hence last_y[d] = phi(last_z[d]) for every depth d.
+    nb = len(y) // 3
+    phases = [y[i : 3 * nb : 3] for i in range(3)]
+    ints = [int.from_bytes(p, "little") for p in phases]
+    e = _equal_next(ints[0], nb) & _equal_next(ints[1], nb) & _equal_next(ints[2], nb)
+    drop = e & (e << 8)
+    if not drop:
+        return _stack(y, 3)
+    c = _free_byte(y)
+    kept = 3 * (nb - drop.bit_count())
+    z = bytearray(kept)
+    for i in range(3):
+        z[i::3] = _delete(phases[i], ints[i], drop, c)
+    z += y[3 * nb :]
+    r, last = _stack(z, 3)
+    starts = list(compress(range(0, 3 * nb, 3), drop.to_bytes(nb, "little").translate(_EQ)))
+    shift = len(y) - len(z)
+    return r, [starts[j // 3] + j % 3 if j < kept else j + shift for j in last]
 
 
 def _stack(x: Word, k: int) -> tuple[Word, list[int]]:

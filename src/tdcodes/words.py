@@ -10,6 +10,8 @@ public entry point; it only ever appears as an internal intermediate.
 
 from __future__ import annotations
 
+from itertools import compress
+
 Word = bytes
 
 __all__ = [
@@ -149,3 +151,39 @@ def pad_tail(x: Word, count: int) -> Word:
     if count < 0:
         raise ValueError(f"negative padding {count}")
     return x + x[-1:] * count
+
+
+# The helpers below edit a word with C-level integer and byte operations
+# only (int.from_bytes, shift, xor, to_bytes, translate), one pass per step.
+# A mask is an integer whose bytes are all 0 or 1, byte j standing for the
+# word's symbol j; the word itself is read as a little-endian integer.
+
+# byte 0 -> 1, every other byte -> 0
+_EQ = b"\x01" + bytes(255)
+
+
+def _equal_next(a: int, n: int) -> int:
+    # the mask of the symbols equal to their right neighbour in the n-symbol
+    # word u read as a: byte j of a ^ (a >> 8) is zero exactly when
+    # u[j] == u[j + 1]
+    return int.from_bytes((a ^ (a >> 8)).to_bytes(n, "little")[: n - 1].translate(_EQ), "little")
+
+
+def _free_byte(x: Word) -> int | None:
+    # a byte value that does not occur in x, or None when x holds all 256
+    for c in range(255, -1, -1):
+        if c not in x:
+            return c
+    return None
+
+
+def _delete(x: Word, a: int, drop: int, c: int | None) -> Word:
+    # x without the symbols the mask drop marks, where a is x read as an
+    # integer and c is _free_byte of x or of a word holding x's symbols:
+    # the OR sets each dropped byte to 255, the XOR turns it into c, and
+    # translate deletes c.  A word that holds all 256 byte values has no
+    # such c, and there compress keeps the other symbols.
+    n = len(x)
+    if c is None:
+        return bytes(compress(x, drop.to_bytes(n, "little").translate(_EQ)))
+    return ((a | drop * 255) ^ drop * (255 ^ c)).to_bytes(n, "little").translate(None, bytes((c,)))

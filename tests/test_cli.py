@@ -203,6 +203,21 @@ def test_cache_lines_for_no_root_are_errors(tmp_path, capsys, line, argv, messag
     assert err == f"error: {path}:1: malformed size-cache line: {message}\n"
 
 
+def test_cache_line_with_entries_for_other_regions_is_an_error(tmp_path, capsys):
+    # a witness whose labels carry two entries for the one region of 012
+    # would let the line answer 3, where the clique over the root's labels
+    # gives 2
+    path = tmp_path / "cache.tsv"
+    path.write_text("012\t9\t3\t012:(1,-)(1,-);012:(1,-)(2,+);012:(2,+)(2,+)\n", encoding="utf-8")
+    code, out, err = run(capsys, "--cache", str(path), "optimal", "--root", "012", "--n", "9")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}:1: malformed size-cache line: witness label 012:(1,-)(1,-) has 2 entries,"
+        " not 1, one per region of its root\n"
+    )
+    assert run(capsys, "optimal", "--root", "012", "--n", "9")[:2] == (0, "2\n")
+
+
 def test_no_size_cache_without_a_file(monkeypatch, capsys):
     import tdcodes.cli
 

@@ -354,9 +354,11 @@ def test_size_cache_concurrent_writers(tmp_path):
     # in append mode (O_APPEND) and sends each line in one write, so lines
     # of about 18 KB from three processes never interleave
     path = str(tmp_path / "cache.tsv")
-    # an irreducible root, written at lengths it fits in
-    root = bytes((0, 1, 2, 1)[i % 4] for i in range(6000))
-    witness = (Label(root, ((1, "-"),)), Label(root, ((2, "+"),)))
+    # an irreducible root, written at lengths it fits in, with a witness of
+    # two labels that differ in the first of its 1,124 regions
+    root = bytes((0, 1, 2, 1)[i % 4] for i in range(2250))
+    rest = ((1, "-"),) * (count_regions(root) - 1)
+    witness = (Label(root, ((1, "-"),) + rest), Label(root, ((2, "+"),) + rest))
     writers, lines = 3, 300
     lengths = range(len(root), len(root) + writers * lines)
     barrier = multiprocessing.Barrier(writers)
@@ -383,6 +385,8 @@ def test_size_cache_concurrent_writers(tmp_path):
         "012\t9\t3\t012:(1,-);012:(2,+)",  # hand-edited size
         "012\t9\t2\t012:(1,+);012:(2,+)",  # confusable witness labels
         "012\t9\t2\t012:(1,-);0120:(2,+)",  # a label of another root
+        # two entries per label for the one region of 012
+        "012\t9\t3\t012:(1,-)(1,-);012:(1,-)(2,+);012:(2,+)(2,+)",
         "0110\t5\t1\t0110:",  # a word that is not a root
         "012\t2\t1\t012:",  # a length below the root's
     ],

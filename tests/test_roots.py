@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from tdcodes import (
     root_le_k,
     tandem_duplicate,
 )
-from tdcodes.roots import _stack
+from tdcodes.roots import _TRIPLE_FLOOR, _stack, _stack_triples, root_le3_depths
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
 
@@ -85,6 +87,55 @@ def test_kernel_matches_definitions_on_long_runs(data):
     prefix_roots = [None] + [_pipeline_roots(x[:j]) for j in range(1, len(x) + 1)]
     for k in (1, 2, 3):
         _check_kernel(x, k, lambda j: prefix_roots[j][k - 1])
+
+
+def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
+    # every ternary word of length <= 11, through the pre-pass itself:
+    # root_le3_depths skips it below the floor
+    for x in iter_ternary_words(1, 11):
+        assert _stack_triples(x) == _stack(x, 3), x
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="deeper exhaustive tier; set TDCODES_STRETCH=1"
+)
+def test_stretch_triple_prepass_len13():
+    # every ternary word of length 12 and 13; the tier-1 test covers the
+    # shorter ones
+    for x in iter_ternary_words(12, 13):
+        assert _stack_triples(x) == _stack(x, 3), x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_triple_prepass_on_pumped_words(data):
+    # words over 3, 4, 5 or 256 byte values of lengths on both sides of the
+    # floor, built from pieces that pump a triple, a pair or one symbol
+    # between plain stretches, so that runs of equal aligned triples start
+    # at every phase; with 256 values some words hold every byte value, and
+    # no byte is free to mark the dropped symbols
+    q = data.draw(st.sampled_from((3, 4, 5, 256)), label="q")
+    alphabet = data.draw(
+        st.lists(st.integers(0, 255), min_size=q, max_size=q, unique=True), label="alphabet"
+    )
+    n = data.draw(st.integers(1, 3 * _TRIPLE_FLOOR), label="length")
+    pieces = []
+    if q == 256 and data.draw(st.booleans(), label="every byte value"):
+        pieces.append(bytes(data.draw(st.permutations(alphabet), label="permutation")))
+    size = sum(map(len, pieces))
+    while size < n:
+        kind = data.draw(st.sampled_from((3, 2, 1, 0)), label="period")
+        if kind:
+            factor = data.draw(st.lists(st.sampled_from(alphabet), min_size=kind, max_size=kind))
+            piece = bytes(factor) * data.draw(st.integers(2, 200), label="copies")
+        else:
+            piece = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=30)))
+        pieces.insert(data.draw(st.integers(0, len(pieces)), label="at"), piece)
+        size += len(piece)
+    x = b"".join(pieces)[:n]
+    expected = _stack(x, 3)
+    assert root_le3_depths(x) == expected
+    assert _stack_triples(x) == expected
 
 
 def test_root_uniqueness_all_removal_orders():
