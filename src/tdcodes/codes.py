@@ -12,9 +12,10 @@ constructed code can be checked against the confusability decision.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice, permutations
+from math import perm
 
 from .words import Word, _root_text, check_word, is_irreducible, pad_tail
 from .words import tandem_duplicate
@@ -383,11 +384,18 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     value, _ = _size_table(cache)
     totals = {t: 0 for t in targets}
     for root in _iter_canonical_irreducible(targets[-1]):
-        _, orbit = canonical_form(root)
-        rev, _ = canonical_form(root[::-1])
-        # shorter targets get 0 from this root
-        for t in targets[bisect_left(targets, len(root)) :]:
-            totals[t] += orbit * max(value(root, t), value(rev, t))
+        # a canonical root's symbols are 0 .. max(root)
+        orbit = perm(3, max(root) + 1)
+        # shorter targets get 0 from this root.  Within two symbols of the
+        # root every region count stays 1, so all its labels are confusable
+        # and both the recursive and the exact value are 1
+        near = bisect_right(targets, len(root) + 2)
+        for t in targets[bisect_left(targets, len(root)) : near]:
+            totals[t] += orbit
+        if near < len(targets):
+            rev, _ = canonical_form(root[::-1])
+            for t in targets[near:]:
+                totals[t] += orbit * max(value(root, t), value(rev, t))
     return totals
 
 

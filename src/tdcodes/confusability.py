@@ -227,19 +227,29 @@ def _regions(r: Word) -> Iterator[tuple[int, RegionDescriptor]]:
         offset += len(desc.reg) - 2
 
 
-def _region_plan(r: Word) -> tuple[tuple[int, Word, Word, Word, int], ...]:
-    # (end depth, main, its two other rotations, a) per region of the root
-    # r, as _regions parses them; the end depth is offset + len(reg) (see
-    # _peel)
+_Plan = tuple[tuple[int, Word, Word, Word, Word, Word], ...]
+
+
+def _region_plan(r: Word) -> _Plan:
+    # (end depth, main, main with its middle symbol doubled, the two other
+    # rotations of main, a) per region of the root r, as _regions parses
+    # them; the end depth is offset + len(reg) (see _peel)
     return tuple(
-        (offset + len(d.reg), d.main, d.main[1:] + d.main[:1], d.main[2:] + d.main[:2], d.abc[0])
+        (
+            offset + len(d.reg),
+            d.main,
+            d.main[:2] + d.main[1:],
+            d.main[1:] + d.main[:1],
+            d.main[2:] + d.main[:2],
+            d.abc[0],
+        )
         for offset, d in _regions(r)
     )
 
 
 # Plans of roots up to _PLAN_CACHE_ROOT_MAX symbols are cached, as many as
 # every root of the length-20 label sweep (4,615 canonical roots) needs.
-# A plan takes about 80 bytes per root symbol, so longer roots are not
+# A plan takes about 100 bytes per root symbol, so longer roots are not
 # cached; building one reads no more than the root pass over a word with
 # that root.
 _PLAN_CACHE_SIZE = 1 << 13
@@ -247,14 +257,19 @@ _PLAN_CACHE_ROOT_MAX = 32
 _cached_region_plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_region_plan)
 
 
-def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
+def _plan(r: Word) -> _Plan:
+    return _cached_region_plan(r) if len(r) <= _PLAN_CACHE_ROOT_MAX else _region_plan(r)
+
+
+def _peel(x: Word, plan: _Plan, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
     # ((count, sign), start, end) per region of the root r of a word x
-    # whose runs have at most two symbols (_cap_runs), where last is the
-    # depth table of x (roots.root_le3_depths).  x[start:end] is
-    # the longest prefix of x[start:] generated from the region, and the
-    # next round starts at the last a of it.  With T = r[:offset] the part
-    # of the root that earlier rounds peeled off (each region minus its
-    # last two symbols), the round ends at last[len(T) + len(reg)].
+    # whose runs have at most two symbols (_cap_runs), where plan is
+    # _plan(r) and last is the depth table of x (roots.root_le3_depths).
+    # x[start:end] is the longest prefix of x[start:] generated from the
+    # region, and the next round starts at the last a of it.  With T =
+    # r[:offset] the part of the root that earlier rounds peeled off (each
+    # region minus its last two symbols), the round ends at
+    # last[len(T) + len(reg)].
     #
     # Write S(j) for the stack after x[:j] and D(j) for its depth.
     # Round 1 (T empty, d = len(reg)): pushes add one symbol and the final
@@ -275,15 +290,19 @@ def _peel(x: Word, r: Word, last: list[int]) -> Iterator[tuple[tuple[int, str], 
     # x[i:] both fall after j1 and coincide; round 1 applied to x[i:] gives
     # the round's end as last[len(T) + len(reg)], and by induction so on
     # for every round.
-    plan = _cached_region_plan(r) if len(r) <= _PLAN_CACHE_ROOT_MAX else _region_plan(r)
+    #
+    # Each round reads x[start:end] in place: two counts (abc and abbc,
+    # see count_occurrences), a search for the other two rotations only
+    # when main itself does not occur, and a backward search for the last
+    # a, which the prefix always holds (it ends in a b^m, see above).
     start = 0
-    for depth, main, rot1, rot2, a in plan:
+    for depth, main, main_bb, rot1, rot2, a in plan:
         end = last[depth]
-        p = x[start:end]
-        count = _count_capped(main, p)
-        sign = "+" if main in p or rot1 in p or rot2 in p else "-"
-        yield (count, sign), start, end
-        start += p.rfind(a)
+        literal = x.count(main, start, end)
+        count = literal + x.count(main_bb, start, end)
+        plus = literal or x.find(rot1, start, end) >= 0 or x.find(rot2, start, end) >= 0
+        yield (count, "+" if plus else "-"), start, end
+        start = x.rfind(a, start, end)
 
 
 def _entry_confusable(ex: tuple[int, str], ey: tuple[int, str]) -> bool:
@@ -298,7 +317,8 @@ def confusable(x: Word, y: Word) -> bool:
 
     Each word's runs are capped at two symbols, then one root pass over
     each capped word and one peeling round per region of the shared root,
-    each reading only the region's generated prefixes.
+    each reading only the region's generated prefixes.  The shared root's
+    region plan is built once for both words.
     """
     x = _cap_runs(check_word(x))
     y = _cap_runs(check_word(y))
@@ -306,7 +326,8 @@ def confusable(x: Word, y: Word) -> bool:
     ry, last_y = root_le3_depths(y)
     if r != ry:
         return False
-    for (ex, _, _), (ey, _, _) in zip(_peel(x, r, last_x), _peel(y, r, last_y)):
+    plan = _plan(r)
+    for (ex, _, _), (ey, _, _) in zip(_peel(x, plan, last_x), _peel(y, plan, last_y)):
         if not _entry_confusable(ex, ey):
             return False
     return True
@@ -348,7 +369,7 @@ def compute_label(x: Word) -> Label:
     """Compute the label of ``x`` by peeling its root region by region."""
     x = _cap_runs(check_word(x))
     r, last = root_le3_depths(x)
-    return Label(r, tuple(entry for entry, _, _ in _peel(x, r, last)))
+    return Label(r, tuple(entry for entry, _, _ in _peel(x, _plan(r), last)))
 
 
 def labels_confusable(lx: Label, ly: Label) -> bool:

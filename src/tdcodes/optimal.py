@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .words import Word, _parse_root, _root_text
 from .roots import root_le3
 from .confusability import Label, compute_label, count_regions, labels_confusable
-from .oracle import _walk, enumerate_labels, canonical_form
+from .oracle import _labelled, _walk, enumerate_labels, canonical_form
 
 __all__ = [
     "LabelGraph",
@@ -92,18 +93,25 @@ def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
     return size, tuple(sorted(label for v, label in enumerate(graph.vertices) if mask >> v & 1))
 
 
-def _check_line(root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
-    # a cached size is trusted only for a root (an irreducible word, its own
-    # le-3 root) at a length it fits in, with a witness code of that size:
-    # labels of the line's root with one entry per region, pairwise
-    # non-confusable
+@lru_cache(maxsize=256)
+def _root_regions(root: Word) -> int:
+    # the region count of a cache line's root, which must be a root (an
+    # irreducible word, its own le-3 root); cached, since the lines a cache
+    # loads or stores share few roots
     if root_le3(root) != root:
         raise ValueError(f"{_root_text(root)} is not irreducible, so it is not a root")
+    return count_regions(root)
+
+
+def _check_line(root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
+    # a cached size is trusted only for a root at a length it fits in, with
+    # a witness code of that size: labels of the line's root with one entry
+    # per region, pairwise non-confusable
+    regions = _root_regions(root)
     if n < len(root):
         raise ValueError(f"target length {n} below root length {len(root)}")
     if len(witness) != size:
         raise ValueError(f"size {size} but {len(witness)} witness labels")
-    regions = count_regions(root)
     for i, label in enumerate(witness):
         if label.root != root:
             raise ValueError(f"witness label {label.text()} is not of the line's root")
@@ -136,6 +144,9 @@ class SizeCache:
             self._load(path)
 
     def _load(self, path: str) -> None:
+        # lines often repeat a root and its witness labels: each distinct
+        # text is parsed once
+        parse_root, parse_label = lru_cache(None)(_parse_root), lru_cache(None)(Label.parse)
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 try:
@@ -143,9 +154,9 @@ class SizeCache:
                     if not line.strip() or line.startswith("#"):
                         continue
                     root_text, n_text, size_text, witness_text = line.split("\t")
-                    root = _parse_root(root_text)
+                    root = parse_root(root_text)
                     witness = tuple(
-                        Label.parse(piece) for piece in witness_text.split(";") if piece
+                        parse_label(piece) for piece in witness_text.split(";") if piece
                     )
                     n, size = int(n_text), int(size_text)
                     _check_line(root, n, size, witness)
@@ -195,6 +206,11 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
        the length-``n`` word that pumps that run to the missing length.
     5. Capping and pumping keep the order in which symbols first occur,
        so canonical words map to canonical words.
+
+    Of those it skips each ``u + ss`` with ``ss`` in ``u``: its label is
+    that of ``u + s``, a canonical word the sweep labels (the tail rule,
+    proved at ``oracle._labelled``).  ``enumerate_labels`` picks the words
+    of a root's cone by the same rule.
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
@@ -202,10 +218,9 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
     # canonical words (symbols first occur in the order 0, 1, 2) of length
     # 1..n with no run of three
     for w in _walk(1, n, 3, 0, canonical=True):
-        if len(w) < n and b"\0\0" not in w and b"\1\1" not in w and b"\2\2" not in w:
-            continue
-        label = compute_label(w)
-        buckets.setdefault(label.root, set()).add(label)
+        if _labelled(w, n):
+            label = compute_label(w)
+            buckets.setdefault(label.root, set()).add(label)
     return buckets
 
 

@@ -9,6 +9,7 @@ conclusive up to the explored length.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -131,7 +132,11 @@ def _expand_cone(
     max_len: int,
     budget: int,
     total: int,
+    capped: bool = False,
 ) -> int:
+    # ``capped`` refuses the duplications that leave a run of three in a
+    # word with none: those of length 1 or 2 whose factor ends in a symbol
+    # equal to its left neighbour (s after s, or ss)
     words = by_length.get(length)
     if not words:
         return total
@@ -141,6 +146,8 @@ def _expand_cone(
             for i in range(length - k + 1):
                 if w[i : i + k] == w[i + k : i + 2 * k]:
                     continue  # duplicating vv again lands on a shorter route's result anyway
+                if capped and k < 3 and i + k >= 2 and w[i + k - 2] == w[i + k - 1]:
+                    continue
                 child = w[: i + k] + w[i : i + k] + w[i + k :]
                 bucket = by_length.setdefault(length + k, set())
                 if child not in bucket:
@@ -202,13 +209,68 @@ def oracle_confusable(
 
 
 def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
-    """Labels of all length-``n`` descendants of the irreducible word ``r``."""
+    """Labels of all length-``n`` descendants of the irreducible word ``r``.
+
+    The search walks only the run-capped part of the cone: the words with
+    root ``r``, length at most ``n`` and no run of three symbols.  It
+    refuses every duplication that leaves a run of three, which are a
+    length-1 duplication of a symbol next to an equal one and a length-2
+    duplication of ``ss``; a length-3 duplication of a word with no run of
+    three leaves none.  ``budget`` bounds the run-capped words generated,
+    ``r`` included.  Every run-capped member is reached, by induction
+    over a duplication path from ``r``: if ``w'`` is ``w`` with one
+    duplication, ``_cap_runs(w')`` is ``_cap_runs(w)`` or the cap of that
+    word with one duplication of the same length.  A duplication inside a
+    run only lengthens the run, which leaves the cap unchanged; any other
+    duplication copies a factor that keeps its symbols in the capped word,
+    and duplicating it there gives a word with the cap of ``w'``.  That
+    word is a child the search keeps, its own cap, or one it refuses,
+    which caps back to its parent.
+
+    ``compute_label`` labels the cap of a word (``labels_by_root``, point
+    1), so the labels of the length-``n`` members are those of their caps:
+    the run-capped members of length ``n``, and the shorter ones holding
+    ``ss``, each the cap of the word that pumps that run to length ``n``.
+    ``_labelled`` picks these out and skips the ones the tail rule shows
+    to repeat the label of a shorter one.  ``descendant_cone`` remains the
+    brute-force search over every member.
+    """
     check_word(r)
     if not is_irreducible(r, 3):
         raise ValueError(f"{_root_text(r)} is not irreducible, so it is not a root")
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    return {compute_label(w) for w in descendant_cone(r, n, budget).by_length.get(n, ())}
+    by_length: dict[int, set[Word]] = {len(r): {r}}
+    total = 1
+    for length in range(len(r), n + 1):
+        total = _expand_cone(r, by_length, length, n, budget, total, capped=True)
+    return {compute_label(w) for words in by_length.values() for w in words if _labelled(w, n)}
+
+
+_PAIR = re.compile(rb"(.)\1", re.DOTALL)
+
+
+def _labelled(w: Word, n: int) -> bool:
+    # whether a label route labels the word w with no run of three and
+    # length at most n: w has length n or holds a run ss (it is the cap of
+    # a length-n word), and it is not u + ss with ss in u (the tail rule).
+    # Such a word w = u + s + s has the label of u + s, which holds ss,
+    # does not end in ss, and is a shorter member of the same route, so
+    # labelled already.  Appending s to a word x ending in s keeps its
+    # label:
+    # 1. In both words every run is capped the same way but the last, and
+    #    the cap of x + s is that of x or that plus one s.
+    # 2. The root stack's top is the symbol last read (roots._stack), so
+    #    it skips the extra s: the root is the same, and of the depth
+    #    table only the entry of the final depth moves, by one.
+    # 3. Region end depths increase, so only the last region can end at
+    #    that depth, and only its prefix grows, by the extra s.  No abc,
+    #    abbc or rotation of a distinct triple ends at it: their last two
+    #    symbols differ, and the grown prefix ends in ss.  So every count
+    #    and sign stays the same.
+    return (len(w) == n or _PAIR.search(w) is not None) and (
+        len(w) < 3 or w[-1] != w[-2] or _PAIR.search(w, 0, len(w) - 2) is None
+    )
 
 
 def canonical_form(x: Word, q: int = 3) -> tuple[Word, int]:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import tdcodes as td
-from tdcodes.confusability import _cap_runs, _peel
+from tdcodes.confusability import _cap_runs, _peel, _plan
 from tdcodes.roots import root_le3_depths
 
 from conftest import w
@@ -334,7 +334,10 @@ def test_criterion_6_invariant_suites():
         # symbols read by full peels of both capped words, past their root
         # passes
         cx, cy = _cap_runs(x), _cap_runs(y)
-        cost = sum(j - i for z in (cx, cy) for _, i, j in _peel(z, *root_le3_depths(z)))
+        cost = 0
+        for z in (cx, cy):
+            r, last = root_le3_depths(z)
+            cost += sum(j - i for _, i, j in _peel(z, _plan(r), last))
         if cost > 3 * (len(cx) + len(cy)):
             ok = False
         label = td.compute_label(x)
@@ -447,24 +450,37 @@ def _batched_descendant(rng: random.Random, root: bytes, target: int) -> bytes:
 
 
 def _spy_symbols(monkeypatch, totals: list) -> None:
-    # wrap the run-capping, root-stack, scan and count functions the
+    # wrap the run-capping, root-stack, scan and peeling functions the
     # decision calls, under every name that refers to them in any tdcodes
-    # module, and add up the length of the word each call is handed
+    # module, and add up the length of the word each call is handed; the
+    # peel counts in place, so it adds the length of each region prefix
+    # it reads
     import sys
 
+    def peel_spy(fn):
+        def wrapper(*args):
+            for item in fn(*args):
+                totals[0] += item[2] - item[1]
+                yield item
+
+        return wrapper
+
+    def length_spy(fn, index):
+        def wrapper(*args):
+            totals[0] += len(args[index])
+            return fn(*args)
+
+        return wrapper
+
     spied = (
-        ("confusability", "_cap_runs", 0),
-        ("confusability", "_count_capped", 1),
-        ("roots", "root_le3_depths", 0),
-        ("confusability", "extended_prefix", 1),
+        ("confusability", "_cap_runs", lambda fn: length_spy(fn, 0)),
+        ("confusability", "_peel", peel_spy),
+        ("roots", "root_le3_depths", lambda fn: length_spy(fn, 0)),
+        ("confusability", "extended_prefix", lambda fn: length_spy(fn, 1)),
     )
-    for layer, attr, index in spied:
+    for layer, attr, spy in spied:
         fn = getattr(sys.modules[f"tdcodes.{layer}"], attr)
-
-        def wrapper(*args, _fn=fn, _index=index):
-            totals[0] += len(args[_index])
-            return _fn(*args)
-
+        wrapper = spy(fn)
         for modname, mod in list(sys.modules.items()):
             if modname == "tdcodes" or modname.startswith("tdcodes."):
                 for name, value in list(vars(mod).items()):

@@ -26,7 +26,15 @@ from tdcodes import (
     root_le_k,
     tandem_duplicate,
 )
-from tdcodes.confusability import _cap_runs, _expand_step, _peel, _regions, _swap_steps
+from tdcodes.confusability import (
+    _cap_runs,
+    _expand_step,
+    _peel,
+    _plan,
+    _region_plan,
+    _regions,
+    _swap_steps,
+)
 from tdcodes.roots import root_le3_depths
 
 from conftest import (
@@ -328,12 +336,12 @@ def test_peeled_suffixes_keep_the_peeled_root(monkeypatch, rng):
     peel = confusability._peel
     calls = []
 
-    def spy(x, r, last):
+    def spy(x, plan, last):
         rounds = []
-        calls.append((x, r, rounds))
+        calls.append((x, plan, rounds))
 
         def recorded():
-            for item in peel(x, r, last):
+            for item in peel(x, plan, last):
                 rounds.append(item)
                 yield item
 
@@ -347,18 +355,22 @@ def test_peeled_suffixes_keep_the_peeled_root(monkeypatch, rng):
         _, y = random_descendant_steps(rng, root, rng.randint(0, 6))
         # _peel is handed the capped words
         capped_x, capped_y = _cap_runs(x), _cap_runs(y)
+        # with the region plan of the root, which the decision builds once
+        # for both words
+        plan = _region_plan(root)
         calls.clear()
         compute_label(x)
-        assert [(cx, cr) for cx, cr, _ in calls] == [(capped_x, root)]
+        assert [(cx, cp) for cx, cp, _ in calls] == [(capped_x, plan)]
         assert len(calls[0][2]) == count_regions(root)
-        _check_rounds(*calls[0])
+        _check_rounds(calls[0][0], root, calls[0][2])
         calls.clear()
         verdict = confusable(x, y)
-        assert [(cx, cr) for cx, cr, _ in calls] == [(capped_x, root), (capped_y, root)]
+        assert [(cx, cp) for cx, cp, _ in calls] == [(capped_x, plan), (capped_y, plan)]
+        assert calls[0][1] is calls[1][1]
         if verdict:
             assert len(calls[0][2]) == len(calls[1][2]) == count_regions(root)
-        for call in calls:
-            _check_rounds(*call)
+        for cx, _, rounds in calls:
+            _check_rounds(cx, root, rounds)
 
 
 def _reference_peel(x):
@@ -383,7 +395,7 @@ def _table_peel(x):
     # _peel on the capped word, as the decision and labels run it
     x = _cap_runs(x)
     r, last = root_le3_depths(x)
-    return list(_peel(x, r, last))
+    return list(_peel(x, _plan(r), last))
 
 
 def test_depth_table_matches_scan_exhaustive():

@@ -12,6 +12,7 @@ from tdcodes import (
     Code,
     Label,
     LabelGraph,
+    ResourceBudgetError,
     compute_label,
     confusable,
     descendant_cone,
@@ -176,9 +177,10 @@ def test_optimal_size_small_lengths():
 
 
 def test_labels_by_root_matches_cone_enumeration():
-    # the sweep reaches the run-capped images of each root's words and the
-    # cone reaches every word, independently; only the per-root region
-    # plans behind compute_label are shared
+    # the sweep walks canonical words symbol by symbol and the cone walks
+    # each root's members by duplications, independently; both keep only
+    # words with no run of three, picked by oracle._labelled, and share the
+    # per-root region plans behind compute_label
     buckets = labels_by_root(10)
     assert len(buckets) == 98
     for root, labels in buckets.items():
@@ -209,10 +211,19 @@ def test_stretch_labels_by_root_equals_every_word_reference(n):
     assert labels_by_root(n) == _labels_of_every_word(n)
 
 
+def _tail_rule_words(words):
+    # the words u + ss with a run ss in u, whose label is that of u + s
+    return {
+        x
+        for x in words
+        if len(x) >= 3 and x[-1] == x[-2] and any(x[i] == x[i + 1] for i in range(len(x) - 3))
+    }
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sweep_labels_exactly_the_run_capped_images(n, monkeypatch):
     # the words the sweep hands compute_label are the caps of the canonical
-    # length-n words, each once
+    # length-n words, but for the tail rule's words, each once
     labelled = []
 
     def recording(x):
@@ -221,8 +232,59 @@ def test_sweep_labels_exactly_the_run_capped_images(n, monkeypatch):
 
     monkeypatch.setattr(optimal, "compute_label", recording)
     labels_by_root(n)
+    caps = {_cap_runs(x) for x in iter_canonical_ternary(n, n)}
     assert len(labelled) == len(set(labelled))
-    assert set(labelled) == {_cap_runs(x) for x in iter_canonical_ternary(n, n)}
+    assert set(labelled) == caps - _tail_rule_words(caps)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((3, 4, 5, 256)).flatmap(
+    lambda q: st.tuples(st.binary(max_size=14).map(lambda b: bytes(c % q for c in b)), st.integers(0, q - 1))
+))
+def test_tail_rule_appending_the_last_symbol_keeps_the_label(case):
+    # compute_label(u + s + s) == compute_label(u + s) for every word u + s
+    u, s = case
+    x = u + bytes((s,))
+    assert compute_label(x + x[-1:]) == compute_label(x)
+
+
+def _cone_labels(cone, n: int) -> set[Label]:
+    return {compute_label(x) for x in cone.by_length.get(n, ())}
+
+
+@pytest.mark.parametrize("root", list(_walk(1, 7, 3, 3, canonical=True)), ids=lambda r: r.hex())
+def test_enumerate_labels_equals_the_full_cone_labels(root):
+    # the run-capped cone with the tail rule against every member of the
+    # brute-force cone, for every canonical ternary root up to length 7
+    cone = descendant_cone(root, 12)
+    for n in range(len(root), 13):
+        assert enumerate_labels(root, n) == _cone_labels(cone, n), n
+
+
+@pytest.mark.parametrize("root, n_max", [("0123", 8), ("01023", 8), ("01230", 9)])
+def test_enumerate_labels_equals_the_full_cone_labels_over_more_symbols(root, n_max):
+    r = bytes(map(int, root))
+    cone = descendant_cone(r, n_max)
+    for n in range(len(r), n_max + 1):
+        assert enumerate_labels(r, n) == _cone_labels(cone, n), n
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+@pytest.mark.parametrize("root", list(_walk(1, 7, 3, 3, canonical=True)), ids=lambda r: r.hex())
+def test_stretch_enumerate_labels_equals_the_full_cone_labels(root):
+    assert enumerate_labels(root, 13) == _cone_labels(descendant_cone(root, 13), 13)
+
+
+def test_enumerate_labels_budget_counts_run_capped_words():
+    # the budget counts the run-capped cone: the 21 members of the cone of
+    # 012 up to length 6 with no run of three
+    expect = {x for x in descendant_cone(w("012"), 6).members if _cap_runs(x) == x}
+    assert len(expect) == 21
+    assert enumerate_labels(w("012"), 6, budget=21)
+    with pytest.raises(ResourceBudgetError, match="descendant cone of 012 exceeded"):
+        enumerate_labels(w("012"), 6, budget=20)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
