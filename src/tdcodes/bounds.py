@@ -16,7 +16,6 @@ from .codes import ONE_REGION_PATTERNS, one_region_size
 
 __all__ = [
     "region_vector_upper_bound",
-    "region_vector_upper_bound_bruteforce",
     "irreducible_region_count",
     "le2_upper_bound",
     "refined_upper_bound",
@@ -39,33 +38,6 @@ def region_vector_upper_bound(n: int, i: int, m: int) -> int:
     if rem == 0:
         return comb(t + m, m) - comb(t + m - 1, m - 1) + 1
     return comb(t + m, m)
-
-
-def region_vector_upper_bound_bruteforce(n: int, i: int, m: int) -> int:
-    """Independent count of the same vectors by explicit enumeration."""
-    if m < 1 or i > n:
-        raise ValueError("need m >= 1 and i <= n")
-    budget = n - i
-    total = 0
-    boundary = 0
-
-    def rec(left: int, used: int) -> None:
-        nonlocal total, boundary
-        if left == 0:
-            total += 1
-            if used == budget:
-                boundary += 1
-            return
-        # c_j >= 1 contributes 3*(c_j - 1) to the used length
-        extra = 0
-        while used + extra <= budget:
-            rec(left - 1, used + extra)
-            extra += 3
-
-    rec(m, 0)
-    if boundary:  # only possible when 3 divides n - i; one slot for all of them
-        return total - boundary + 1
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -188,6 +188,8 @@ def _run(args) -> int:
         out = tandem_duplicate(x, args.i, args.k)
         _emit(args, {"word": render_word(out, q)}, [render_word(out, q)])
     elif args.command == "irr":
+        if args.n < 1:
+            raise ValueError(f"length must be positive, got {args.n}")
         if args.count:
             counts = irreducible_counts(args.n, q, args.k)
             rows = [(i, counts[i]) for i in range(1, args.n + 1)]

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 from math import perm
 
-from .words import Word, _root_text, check_word, is_irreducible, pad_tail
+from .words import Word, _root_text, check_word, pad_tail
 from .words import tandem_duplicate
 from .confusability import _regions, confusable, main_and_region
-from .oracle import _walk, enumerate_irreducible, canonical_form
-from .roots import root_le3
+from .oracle import _check_alphabet, _walk, canonical_form
+from .roots import _check_root, root_le3
 
 __all__ = [
     "Code",
@@ -69,11 +69,9 @@ def irreducible_code(n: int, k: int, q: int = 3) -> Code:
         raise ValueError(f"k must be 2 or 3, got {k}")
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    words = set()
-    for i in range(1, n + 1):
-        for x in enumerate_irreducible(i, q, k):
-            words.add(pad_tail(x, n - i))
-    return Code(n, q, frozenset(words), f"irreducible(k<={k})")
+    _check_alphabet(q, k)
+    words = frozenset(pad_tail(x, n - len(x)) for x in _walk(1, n, q, k))
+    return Code(n, q, words, f"irreducible(k<={k})")
 
 
 def pair_code(r: Word) -> Code:
@@ -82,8 +80,7 @@ def pair_code(r: Word) -> Code:
     i = len(r)
     if i < 4:
         raise UnsupportedRootError(f"pair construction needs a root of length >= 4, got {i}")
-    if not is_irreducible(r, 3):
-        raise UnsupportedRootError(f"{_root_text(r)} is not irreducible, so it is not a root")
+    _check_root(r, UnsupportedRootError)
     # j is the offset of the first distinct triple: the first word
     # duplicates it, the second duplicates each of the three symbols after
     # its first (the last clipped to the root's end), right to left so that
@@ -264,9 +261,7 @@ def _sizes(value, r: Word, n: int) -> tuple[int, int]:
 def _check_ternary_root(r: Word) -> None:
     # _PREFIX_CASES is the paper's ternary construction; over four or more
     # symbols it can pair confusable words
-    check_word(r)
-    if not is_irreducible(r, 3):
-        raise UnsupportedRootError(f"{_root_text(r)} is not irreducible, so it is not a root")
+    _check_root(r, UnsupportedRootError)
     if len(set(r)) > 3:
         raise UnsupportedRootError(
             f"{_root_text(r)} has more than three symbols; the recursion is ternary"

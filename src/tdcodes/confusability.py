@@ -163,16 +163,12 @@ def count_occurrences(t: Word, x: Word) -> int:
     ``x``: one match of ``a b+ c``, and matches start at distinct ``a``s.
     Capping every run at two symbols (``_cap_runs``) keeps each match and
     turns its ``b`` run into ``b`` or ``bb``, so the count is that of
-    ``abc`` plus that of ``abbc`` in the capped word (``_count_capped``).
+    ``abc`` plus that of ``abbc`` in the capped word.  Neither overlaps
+    itself, so ``bytes.count`` meets each occurrence once.
     """
     if len(t) != 3 or len(set(t)) != 3:
         raise ValueError(f"pattern must be three pairwise-distinct symbols, got {_root_text(t)}")
-    return _count_capped(t, _cap_runs(x))
-
-
-def _count_capped(t: Word, p: Word) -> int:
-    # matches of a b+ c in a word whose runs have at most two symbols;
-    # neither abc nor abbc overlaps itself, so bytes.count meets each once
+    p = _cap_runs(x)
     return p.count(t) + p.count(t[:2] + t[1:])
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .words import Word, _parse_root, _root_text
-from .roots import root_le3
+from .roots import _check_root
 from .confusability import Label, compute_label, count_regions, labels_confusable
 from .oracle import _labelled, _walk, enumerate_labels, canonical_form
 
@@ -95,11 +95,9 @@ def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
 
 @lru_cache(maxsize=256)
 def _root_regions(root: Word) -> int:
-    # the region count of a cache line's root, which must be a root (an
-    # irreducible word, its own le-3 root); cached, since the lines a cache
-    # loads or stores share few roots
-    if root_le3(root) != root:
-        raise ValueError(f"{_root_text(root)} is not irreducible, so it is not a root")
+    # the region count of a cache line's root, which must be a root;
+    # cached, since the lines a cache loads or stores share few roots
+    _check_root(root)
     return count_regions(root)
 
 

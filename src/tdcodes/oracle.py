@@ -1,10 +1,12 @@
 """Ground-truth machinery: enumerations, descendant cones and brute-force
-confusability.
+confusability, plus the label route over a root's run-capped cone.
 
-Everything here is deliberately independent of the region-peeling decision
-procedure so it can serve as an oracle for it.  Cone searches are bounded
-and budgeted: a found witness is conclusive, an empty intersection is only
-conclusive up to the explored length.
+The enumerations, ``descendant_cone`` and ``oracle_confusable`` are brute
+force and never call the region-peeling decision, so they can serve as an
+oracle for it.  ``enumerate_labels`` is not: it walks the run-capped part
+of a root's cone and labels the words it keeps with ``compute_label``.
+Cone searches are bounded and budgeted: a found witness is conclusive, an
+empty intersection is only conclusive up to the explored length.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .words import Word, ResourceBudgetError, _root_text, check_word, is_irreducible
+from .words import Word, ResourceBudgetError, _root_text, check_word
 from .confusability import Label, compute_label
+from .roots import _check_root
 
 __all__ = [
     "enumerate_irreducible",
@@ -27,7 +30,7 @@ __all__ = [
 ]
 
 
-def _extensions(prefix: bytearray, q: int, k: int) -> Iterator[int]:
+def _extensions(prefix: Word, q: int, k: int) -> Iterator[int]:
     # symbols that keep the prefix free of duplicates vv with |v| <= k; only
     # duplicates ending at the new position need checking, and they reach
     # back at most 2k - 1 symbols.  k = 0 (the label sweep's walk over
@@ -54,22 +57,26 @@ def _extensions(prefix: bytearray, q: int, k: int) -> Iterator[int]:
 
 def _walk(n_min: int, n_max: int, q: int, k: int, canonical: bool = False) -> Iterator[Word]:
     # depth-first over the words _extensions admits symbol by symbol, each
-    # yielded before its extensions once its length reaches n_min (>= 1);
-    # ``canonical`` keeps only words whose symbols first occur in the order
-    # 0, 1, 2, ..., one per relabeling orbit
-    prefix = bytearray()
+    # yielded before its extensions once its length reaches n_min (>= 1),
+    # smaller siblings first: the stack holds (word, symbols used) and gets
+    # each word's extensions pushed in reverse.  ``canonical`` keeps only
+    # words whose symbols first occur in the order 0, 1, 2, ..., one per
+    # relabeling orbit
+    stack = [(b"", 0)]
+    while stack:
+        word, used = stack.pop()
+        if len(word) >= n_min:
+            yield word
+        if len(word) < n_max:
+            grown = _extensions(word, min(used + 1, q) if canonical else q, k)
+            stack += [(word + bytes((s,)), max(used, s + 1)) for s in reversed([*grown])]
 
-    def rec(used: int) -> Iterator[Word]:
-        if len(prefix) >= n_min:
-            yield bytes(prefix)
-        if len(prefix) == n_max:
-            return
-        for s in _extensions(prefix, min(used + 1, q) if canonical else q, k):
-            prefix.append(s)
-            yield from rec(max(used, s + 1))
-            del prefix[-1:]
 
-    yield from rec(0)
+def _check_alphabet(q: int, k: int) -> None:
+    if q < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    if k not in (1, 2, 3):
+        raise ValueError(f"k must be 1..3, got {k}")
 
 
 def enumerate_irreducible(n: int, q: int = 3, k: int = 3) -> Iterator[Word]:
@@ -81,10 +88,7 @@ def enumerate_irreducible(n: int, q: int = 3, k: int = 3) -> Iterator[Word]:
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1..3, got {k}")
+    _check_alphabet(q, k)
     return _walk(n, n, q, k)
 
 
@@ -95,8 +99,7 @@ def irreducible_counts(n_max: int, q: int = 3, k: int = 3) -> list[int]:
     ``2k - 1`` symbols, so the count runs over those tails instead of
     over the words.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1..3, got {k}")
+    _check_alphabet(q, k)
     keep = 2 * k - 1
     counts = [0] * (n_max + 1)
     tails: dict[bytes, int] = {b"": 1}
@@ -123,6 +126,15 @@ class ConeFrontier:
         for words in self.by_length.values():
             out |= words
         return out
+
+
+def _cone(x: Word, max_len: int, budget: int, capped: bool = False) -> dict[int, set[Word]]:
+    # the cone of x up to length max_len, by length; see _expand_cone
+    by_length: dict[int, set[Word]] = {len(x): {x}}
+    total = 1
+    for length in range(len(x), max_len + 1):
+        total = _expand_cone(x, by_length, length, max_len, budget, total, capped)
+    return by_length
 
 
 def _expand_cone(
@@ -169,11 +181,7 @@ def descendant_cone(x: Word, max_len: int, budget: int = 2_000_000) -> ConeFront
     check_word(x)
     if max_len < len(x):
         raise ValueError(f"max_len {max_len} below word length {len(x)}")
-    by_length: dict[int, set[Word]] = {len(x): {x}}
-    total = 1
-    for length in range(len(x), max_len + 1):
-        total = _expand_cone(x, by_length, length, max_len, budget, total)
-    return ConeFrontier(by_length)
+    return ConeFrontier(_cone(x, max_len, budget))
 
 
 def oracle_confusable(
@@ -235,15 +243,10 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
     to repeat the label of a shorter one.  ``descendant_cone`` remains the
     brute-force search over every member.
     """
-    check_word(r)
-    if not is_irreducible(r, 3):
-        raise ValueError(f"{_root_text(r)} is not irreducible, so it is not a root")
+    _check_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    by_length: dict[int, set[Word]] = {len(r): {r}}
-    total = 1
-    for length in range(len(r), n + 1):
-        total = _expand_cone(r, by_length, length, n, budget, total, capped=True)
+    by_length = _cone(r, n, budget, capped=True)
     return {compute_label(w) for words in by_length.values() for w in words if _labelled(w, n)}
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .words import _EQ, Word, _delete, _equal_next, _free_byte
+from .words import _EQ, Word, _delete, _equal_next, _free_byte, _root_text, check_word
 
 __all__ = [
     "root_le_k",
@@ -153,6 +153,14 @@ def _stack(x: Word, k: int) -> tuple[Word, list[int]]:
 
 def root_le3(x: Word) -> Word:
     return root_le_k(x, 3)
+
+
+def _check_root(r: Word, error: type[ValueError] = ValueError) -> None:
+    # a root is an irreducible word, which is exactly its own le-3 root: a
+    # stack that has removed nothing holds the word read so far, and it
+    # removes the first square to appear
+    if root_le3(check_word(r)) != r:
+        raise error(f"{_root_text(r)} is not irreducible, so it is not a root")
 
 
 def root_exact_k(x: Word, k: int) -> Word:

@@ -21,7 +21,6 @@ __all__ = [
     "render_word",
     "check_word",
     "tandem_duplicate",
-    "remove_duplicates_pass",
     "is_irreducible",
     "pad_tail",
 ]
@@ -100,29 +99,6 @@ def tandem_duplicate(x: Word, i: int, k: int) -> Word:
             f"window [{i}, {i + k}) out of range for word of length {len(x)}"
         )
     return x[: i + k] + x[i : i + k] + x[i + k :]
-
-
-def remove_duplicates_pass(x: Word, k: int) -> Word:
-    """Remove every factor ``vv`` with ``|v| = k`` by a left-to-right scan.
-
-    After each removal the scan index backtracks by ``2k - 1`` positions
-    (floored at zero): a removal can only create a new k-duplicate spanning
-    the junction, and any such duplicate starts within that window.
-    """
-    if k < 1:
-        raise ValueError(f"duplicate length must be positive, got {k}")
-    if len(x) == 0:
-        raise ValueError("empty word")
-    r = bytearray(x)
-    i = 0
-    back = 2 * k - 1
-    while i + 2 * k <= len(r):
-        if r[i : i + k] == r[i + k : i + 2 * k]:
-            del r[i : i + k]
-            i = i - back if i > back else 0
-        else:
-            i += 1
-    return bytes(r)
 
 
 def is_irreducible(x: Word, k: int, exact: bool = False) -> bool:

@@ -1,0 +1,58 @@
+"""Slow reference implementations that only the tests use.
+
+Each one checks a library function against a direct, independent
+computation of the same thing.
+"""
+
+Word = bytes
+
+
+def remove_duplicates_pass(x: Word, k: int) -> Word:
+    """Remove every factor ``vv`` with ``|v| = k`` by a left-to-right scan.
+
+    After each removal the scan index backtracks by ``2k - 1`` positions
+    (floored at zero): a removal can only create a new k-duplicate spanning
+    the junction, and any such duplicate starts within that window.
+    """
+    if k < 1:
+        raise ValueError(f"duplicate length must be positive, got {k}")
+    if len(x) == 0:
+        raise ValueError("empty word")
+    r = bytearray(x)
+    i = 0
+    back = 2 * k - 1
+    while i + 2 * k <= len(r):
+        if r[i : i + k] == r[i + k : i + 2 * k]:
+            del r[i : i + k]
+            i = i - back if i > back else 0
+        else:
+            i += 1
+    return bytes(r)
+
+
+def region_vector_upper_bound_bruteforce(n: int, i: int, m: int) -> int:
+    """Independent count of the vectors ``region_vector_upper_bound`` counts,
+    by explicit enumeration."""
+    if m < 1 or i > n:
+        raise ValueError("need m >= 1 and i <= n")
+    budget = n - i
+    total = 0
+    boundary = 0
+
+    def rec(left: int, used: int) -> None:
+        nonlocal total, boundary
+        if left == 0:
+            total += 1
+            if used == budget:
+                boundary += 1
+            return
+        # c_j >= 1 contributes 3*(c_j - 1) to the used length
+        extra = 0
+        while used + extra <= budget:
+            rec(left - 1, used + extra)
+            extra += 3
+
+    rec(m, 0)
+    if boundary:  # only possible when 3 divides n - i; one slot for all of them
+        return total - boundary + 1
+    return total

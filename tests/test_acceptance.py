@@ -14,6 +14,7 @@ from tdcodes.confusability import _cap_runs, _peel, _plan
 from tdcodes.roots import root_le3_depths
 
 from conftest import w
+from references import region_vector_upper_bound_bruteforce, remove_duplicates_pass
 
 CONSTR1 = [
     3, 9, 21, 39, 69, 111, 171, 261, 393, 585,
@@ -98,7 +99,7 @@ def test_criterion_3_bounds():
     for gap in range(0, 31):
         for m in range(1, 7):
             if td.region_vector_upper_bound(5 + gap, 5, m) != (
-                td.region_vector_upper_bound_bruteforce(5 + gap, 5, m)
+                region_vector_upper_bound_bruteforce(5 + gap, 5, m)
             ):
                 ok = False
     for i in range(1, 13):
@@ -306,10 +307,10 @@ def test_criterion_6_invariant_suites():
                     table[x] = x
                 if table[x] != td.root_le_k(x, k):
                     ok = False
-            stage12 = td.remove_duplicates_pass(td.remove_duplicates_pass(x, 1), 2)
+            stage12 = remove_duplicates_pass(remove_duplicates_pass(x, 1), 2)
             if stage12 != td.root_le_k(x, 2):
                 ok = False
-            if td.remove_duplicates_pass(stage12, 3) != td.root_le3(x):
+            if remove_duplicates_pass(stage12, 3) != td.root_le3(x):
                 ok = False
     notes.append("uniqueness+pipeline len<=10")
 

@@ -8,8 +8,9 @@ from tdcodes import (
     le2_upper_bound,
     refined_upper_bound,
     region_vector_upper_bound,
-    region_vector_upper_bound_bruteforce,
 )
+
+from references import region_vector_upper_bound_bruteforce
 
 # published reference values at lengths 1..20
 EQ1_COLUMN = [

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,21 @@ def test_nonpositive_lengths_are_errors(capsys, argv, message):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("irr", "0"), "length must be positive, got 0"),
+        (("irr", "-2"), "length must be positive, got -2"),
+        (("--q", "1", "irr", "3"), "alphabet size must be at least 2, got 1"),
+        (("--q", "1", "irr", "0"), "length must be positive, got 0"),
+    ],
+)
+def test_irr_count_makes_the_checks_of_irr(capsys, argv, message):
+    for mode in ((), ("--count",)):
+        code, out, err = run(capsys, *argv, *mode)
+        assert code == 2 and out == "" and err == f"error: {message}\n", mode
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run(capsys, "--budget-states", "50", "cone", "012", "--max-len", "12")
     assert code == 3 and "budget" in err
@@ -401,3 +417,14 @@ def test_json_code_roundtrip(capsys):
         "provenance": want.provenance,
         "words": [render_word(x) for x in want.sorted_words()],
     }
+
+
+def test_readme_examples_print_their_comment(monkeypatch, capsys):
+    # the README's CLI examples whose comment is their one-line output
+    monkeypatch.delenv("TDCODES_CACHE", raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^tdcodes (.+?) +# (\S+)$", readme, re.MULTILINE)
+    assert len(examples) == 7
+    for command, output in examples:
+        code, out, err = run(capsys, *command.split())
+        assert (code, out, err) == (0, output + "\n", ""), command

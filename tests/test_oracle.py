@@ -12,6 +12,7 @@ from tdcodes import (
     oracle_confusable,
     root_le3,
 )
+from tdcodes.oracle import _walk
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
 
@@ -29,6 +30,17 @@ def test_enumerate_matches_filter_oracle():
             got = set(enumerate_irreducible(n, 3, k))
             expect = {x for x in iter_ternary_words(n, n) if is_irreducible(x, k)}
             assert got == expect
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("n_min", [1, 3])
+def test_walk_yields_each_word_once_in_sorted_order(n_min, canonical):
+    # a preorder walk that visits smaller siblings first is lexicographic
+    # order; `tdcodes irr` prints the words in this order
+    for k in range(4):
+        for q in range(2, 5):
+            words = list(_walk(n_min, 8, q, k, canonical))
+            assert words == sorted(set(words)), (k, q)
 
 
 def test_irreducible_counts_match_enumeration():

@@ -8,7 +8,6 @@ from tdcodes import (
     confusable,
     descendant_cone,
     is_irreducible,
-    remove_duplicates_pass,
     root_exact_k,
     root_le3,
     root_le_k,
@@ -17,6 +16,7 @@ from tdcodes import (
 from tdcodes.roots import _TRIPLE_FLOOR, _stack, _stack_triples, root_le3_depths
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
+from references import remove_duplicates_pass
 
 
 def test_root_le_k_examples():

@@ -4,12 +4,12 @@ from tdcodes import (
     is_irreducible,
     pad_tail,
     parse_word,
-    remove_duplicates_pass,
     render_word,
     tandem_duplicate,
 )
 
 from conftest import iter_ternary_words, random_ternary, w
+from references import remove_duplicates_pass
 
 
 def test_parse_render_roundtrip():
