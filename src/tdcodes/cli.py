@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -45,6 +46,9 @@ from .optimal import SizeCache, optimal_size, optimal_size_for_root
 __all__ = ["main", "build_parser", "verify_fixtures"]
 
 
+# built on the first call, not at import, and shared by every later call in
+# the process: parse_args keeps no state in the parser
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdcodes",

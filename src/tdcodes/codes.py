@@ -12,7 +12,7 @@ constructed code can be checked against the confusability decision.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, permutations
 from math import perm
@@ -20,7 +20,7 @@ from math import perm
 from .words import Word, _root_text, check_word, pad_tail
 from .words import tandem_duplicate
 from .confusability import _regions, confusable, main_and_region
-from .oracle import _check_alphabet, _walk, canonical_form
+from .oracle import _check_alphabet, _walk, canonical_form, irreducible_counts
 from .roots import _check_root, root_le3
 
 __all__ = [
@@ -377,20 +377,21 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     if not targets or targets[0] < 1:
         raise ValueError("lengths must be positive")
     value, _ = _size_table(cache)
-    totals = {t: 0 for t in targets}
-    for root in _iter_canonical_irreducible(targets[-1]):
+    # Within two symbols of the root every region count stays 1, so all its
+    # labels are confusable and both the recursive and the exact value are
+    # 1: each root of length t - 2, t - 1 or t adds its orbit to target t,
+    # and the orbits of the canonical roots of length L add up to the
+    # irreducible ternary words of that length
+    counts = irreducible_counts(targets[-1])
+    totals = {t: sum(counts[max(t - 2, 0) : t + 1]) for t in targets}
+    # shorter targets get 0 from a root, so only roots three or more
+    # symbols below some target add more
+    for root in _iter_canonical_irreducible(targets[-1] - 3):
         # a canonical root's symbols are 0 .. max(root)
         orbit = perm(3, max(root) + 1)
-        # shorter targets get 0 from this root.  Within two symbols of the
-        # root every region count stays 1, so all its labels are confusable
-        # and both the recursive and the exact value are 1
-        near = bisect_right(targets, len(root) + 2)
-        for t in targets[bisect_left(targets, len(root)) : near]:
-            totals[t] += orbit
-        if near < len(targets):
-            rev, _ = canonical_form(root[::-1])
-            for t in targets[near:]:
-                totals[t] += orbit * max(value(root, t), value(rev, t))
+        rev, _ = canonical_form(root[::-1])
+        for t in targets[bisect_right(targets, len(root) + 2) :]:
+            totals[t] += orbit * max(value(root, t), value(rev, t))
     return totals
 
 

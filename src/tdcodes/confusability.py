@@ -365,7 +365,13 @@ def compute_label(x: Word) -> Label:
     """Compute the label of ``x`` by peeling its root region by region."""
     x = _cap_runs(check_word(x))
     r, last = root_le3_depths(x)
-    return Label(r, tuple(entry for entry, _, _ in _peel(x, _plan(r), last)))
+    return Label(r, _label_entries(x, r, last))
+
+
+def _label_entries(x: Word, r: Word, last: list[int]) -> tuple[tuple[int, str], ...]:
+    # the label entries of a word x with runs capped, le-3 root r and depth
+    # table last, one (count, sign) per region of r
+    return tuple(entry for entry, _, _ in _peel(x, _plan(r), last))
 
 
 def labels_confusable(lx: Label, ly: Label) -> bool:

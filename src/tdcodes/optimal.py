@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .words import Word, _parse_root, _root_text
-from .roots import _check_root
-from .confusability import Label, compute_label, count_regions, labels_confusable
+from .roots import _check_root, _stack
+from .confusability import Label, _label_entries, count_regions, labels_confusable
 from .oracle import _labelled, _walk, enumerate_labels, canonical_form
 
 __all__ = [
@@ -209,17 +209,26 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
     that of ``u + s``, a canonical word the sweep labels (the tail rule,
     proved at ``oracle._labelled``).  ``enumerate_labels`` picks the words
     of a root's cone by the same rule.
+
+    The walk is in preorder, so the last word one symbol shorter that it
+    yielded is a word's parent: each word's root stack resumes from its
+    parent's and reads one symbol.
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    buckets: dict[Word, set[Label]] = {}
+    buckets: dict[Word, set[tuple[tuple[int, str], ...]]] = {}
+    # states[d] is the root stack of the current word's length-d prefix
+    states = [_stack(b"", 3)]
     # canonical words (symbols first occur in the order 0, 1, 2) of length
-    # 1..n with no run of three
+    # 1..n with no run of three: each is its own cap, so the lines below
+    # are compute_label(w) with the root stack resumed
     for w in _walk(1, n, 3, 0, canonical=True):
+        state = _stack(w, 3, states[len(w) - 1])
+        states[len(w) :] = [state]
         if _labelled(w, n):
-            label = compute_label(w)
-            buckets.setdefault(label.root, set()).add(label)
-    return buckets
+            root, last = state
+            buckets.setdefault(root, set()).add(_label_entries(w, root, last))
+    return {root: {Label(root, e) for e in entries} for root, entries in buckets.items()}
 
 
 def _root_optimum(

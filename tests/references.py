@@ -56,3 +56,27 @@ def region_vector_upper_bound_bruteforce(n: int, i: int, m: int) -> int:
     if boundary:  # only possible when 3 divides n - i; one slot for all of them
         return total - boundary + 1
     return total
+
+
+def assemble_lower_bounds_per_root(targets, cache=None) -> dict[int, int]:
+    """``codes.assemble_lower_bounds`` summed root by root over every
+    canonical root up to the largest target, each root adding its orbit
+    at the lengths within two symbols of it and its best per-root size
+    beyond."""
+    from math import perm
+
+    from tdcodes.codes import _iter_canonical_irreducible, _size_table
+    from tdcodes.oracle import canonical_form
+
+    targets = sorted(set(targets))
+    value, _ = _size_table(cache)
+    totals = {t: 0 for t in targets}
+    for root in _iter_canonical_irreducible(targets[-1]):
+        orbit = perm(3, max(root) + 1)
+        rev, _ = canonical_form(root[::-1])
+        for t in targets:
+            if len(root) <= t <= len(root) + 2:
+                totals[t] += orbit
+            elif t > len(root) + 2:
+                totals[t] += orbit * max(value(root, t), value(rev, t))
+    return totals

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tdcodes.cli import main, verify_fixtures
+from tdcodes.optimal import SizeCache
 
 
 def run(capsys, *argv):
@@ -231,6 +232,45 @@ def test_no_size_cache_without_a_file(monkeypatch, capsys):
     assert code == 0 and out.strip() == "3"
     code, out, _ = run(capsys, "table", "--n-max", "8", "--optimal-up-to", "4")
     assert code == 0 and out.strip().splitlines()[4].split("\t") == ["4", "39", "39", "39", "39", "39"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["--format", "json", "region", "012"], ["region", "012"]),
+        (["--cache", "F", "optimal", "--n", "6"], ["optimal", "--n", "6"]),
+        (["--q", "4", "irr", "3"], ["irr", "3"]),
+    ],
+    ids=["format", "cache", "q"],
+)
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys, first, second):
+    # two calls in a row print what they print with a newly built parser
+    # each, open the same size caches, and the second leaves the first
+    # one's cache file F as it was
+    import tdcodes.cli
+    from tdcodes.cli import build_parser
+
+    monkeypatch.delenv("TDCODES_CACHE", raising=False)
+    opened = []
+    monkeypatch.setattr(tdcodes.cli, "SizeCache", lambda path: opened.append(path) or SizeCache(path))
+
+    def pair(path, fresh):
+        results = []
+        for argv in (first, second):
+            if fresh:
+                build_parser.cache_clear()
+            opened.clear()
+            results.append((*run(capsys, *[str(path) if a == "F" else a for a in argv]), len(opened)))
+            if argv is first:
+                written = path.read_text() if path.exists() else None
+        assert (path.read_text() if path.exists() else None) == written
+        return results
+
+    shared = pair(tmp_path / "shared.tsv", fresh=False)
+    assert build_parser() is build_parser()
+    assert shared == pair(tmp_path / "fresh.tsv", fresh=True)
+    if "--cache" not in first:
+        assert shared[1][1] != shared[0][1]  # the first call's option shows in its output
 
 
 def test_validation_exit_code(capsys):

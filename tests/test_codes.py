@@ -22,6 +22,7 @@ from tdcodes import (
 )
 
 from conftest import w
+from references import assemble_lower_bounds_per_root
 
 
 def test_irreducible_code_sizes():
@@ -270,6 +271,29 @@ def test_assemble_lower_bounds_without_cache():
         2655, 4005, 6009, 9003, 13491, 20139, 29955, 44397, 65829, 97569, 144351, 213375,
     ]
     assert assemble_lower_bounds(range(1, 25)) == dict(enumerate(lower, start=1))
+
+
+_TARGET_SETS = [{1}, {1, 2, 3}, {4}, {3, 7, 19}, set(range(1, 25))]
+
+
+@pytest.fixture(scope="module")
+def warm_cache():
+    from tdcodes import optimal_size
+    from tdcodes.optimal import SizeCache
+
+    cache = SizeCache(None)
+    for n in range(1, 13):
+        optimal_size(n, cache)
+    return cache
+
+
+@pytest.mark.parametrize("targets", _TARGET_SETS, ids=lambda t: ",".join(map(str, sorted(t))))
+@pytest.mark.parametrize("warm", [False, True], ids=["no-cache", "warm-cache"])
+def test_assemble_lower_bounds_equals_the_per_root_sum(targets, warm, request):
+    # the near-root part added from irreducible counts against every root
+    # adding its orbit within two symbols of it
+    cache = request.getfixturevalue("warm_cache") if warm else None
+    assert assemble_lower_bounds(targets, cache) == assemble_lower_bounds_per_root(targets, cache)
 
 
 def test_assemble_lower_bound_monotone():

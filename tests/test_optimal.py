@@ -29,7 +29,7 @@ from tdcodes import (
     validate_code,
 )
 from tdcodes import optimal
-from tdcodes.confusability import _cap_runs
+from tdcodes.confusability import _cap_runs, _label_entries
 from tdcodes.optimal import SizeCache, _check_line, _max_clique_masks
 from tdcodes.oracle import _walk
 
@@ -222,15 +222,15 @@ def _tail_rule_words(words):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sweep_labels_exactly_the_run_capped_images(n, monkeypatch):
-    # the words the sweep hands compute_label are the caps of the canonical
-    # length-n words, but for the tail rule's words, each once
+    # the words the sweep peels into label entries are the caps of the
+    # canonical length-n words, but for the tail rule's words, each once
     labelled = []
 
-    def recording(x):
+    def recording(x, r, last):
         labelled.append(x)
-        return compute_label(x)
+        return _label_entries(x, r, last)
 
-    monkeypatch.setattr(optimal, "compute_label", recording)
+    monkeypatch.setattr(optimal, "_label_entries", recording)
     labels_by_root(n)
     caps = {_cap_runs(x) for x in iter_canonical_ternary(n, n)}
     assert len(labelled) == len(set(labelled))

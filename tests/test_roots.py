@@ -96,6 +96,47 @@ def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
         assert _stack_triples(x) == _stack(x, 3), x
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_resumed_stack_equals_the_fresh_stack_exhaustive(k):
+    # resuming from the root and depth table of x[:i] reads x[i:] into the
+    # root and depth table of x, for every split point i of every ternary
+    # word of length <= 10
+    states = {b"": _stack(b"", k)}
+    for x in iter_ternary_words(1, 10):
+        states[x] = full = _stack(x, k)
+        for i in range(len(x) + 1):
+            assert _stack(x, k, states[x[:i]]) == full, (x, i)
+        if len(x) == 10:
+            del states[x]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((3, 4, 5, 256)).flatmap(
+    lambda q: st.binary(max_size=14).map(lambda b: bytes(c % q for c in b))
+))
+def test_resumed_stack_equals_the_fresh_stack_over_byte_alphabets(x):
+    for k in (1, 2, 3):
+        full = _stack(x, k)
+        for i in range(len(x) + 1):
+            assert _stack(x, k, _stack(x[:i], k)) == full, (k, i)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_fresh_stack_does_not_copy_the_word(kind):
+    # one run of 64 KiB: the stack holds one symbol and the table two entries
+    import tracemalloc
+
+    x = kind(1 << 16)
+    tracemalloc.start()
+    try:
+        for k in (1, 2, 3):
+            assert _stack(x, k) == (b"\0", [0, len(x)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(x) // 4
+
+
 @pytest.mark.skipif(
     not os.environ.get("TDCODES_STRETCH"), reason="deeper exhaustive tier; set TDCODES_STRETCH=1"
 )
