@@ -244,7 +244,10 @@ def _region_plan(r: Word) -> _Plan:
 
 
 # Plans of roots up to _PLAN_CACHE_ROOT_MAX symbols are cached, as many as
-# every root of the length-20 label sweep (4,615 canonical roots) needs.
+# 8,192, so decisions and cone labels parse each short root once.  The
+# label sweep does not fill the cache: it parses each root stack it reaches
+# (the canonical irreducible words up to its length, 4,615 at length 20) in
+# a memo of its own, which it frees when it returns.
 # A plan takes about 100 bytes per root symbol, so longer roots are not
 # cached; building one reads no more than the root pass over a word with
 # that root.

@@ -10,14 +10,16 @@ cones are huge, which keeps the exact search cheap.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable
+from functools import cache, lru_cache
+from itertools import permutations
+from typing import Callable, Iterable, Iterator
 
 from .words import Word, _parse_root, _root_text
 from .roots import _check_root, _stack
-from .confusability import Label, _label_entries, count_regions, labels_confusable
-from .oracle import _labelled, _walk, enumerate_labels, canonical_form
+from .confusability import Label, _region_plan, count_regions, labels_confusable
+from .oracle import _extensions, _labelled, enumerate_labels, canonical_form
 
 __all__ = [
     "LabelGraph",
@@ -186,14 +188,44 @@ class SizeCache:
         return len(self._mem)
 
 
+# The six distinct ternary triples, numbered, and for each the bit of its
+# rotation class: 012, 120 and 201 are rotations of each other, and so are
+# the other three
+_TRIPLE_INDEX = {bytes(t): i for i, t in enumerate(permutations(range(3)))}
+_ROTATION_BIT = tuple(1 << ((t[1] - t[0]) % 3) for t in permutations(range(3)))
+
+# A sweep record: six match counts, one per triple, the rotation classes
+# that occur literally, and how many symbols it covers, capped at three.
+# A sweep state: ((S, tail, pair), entries, records), see _sweep.
+_Record = tuple[int, int, int, int, int, int, int, int]
+_Entries = tuple[tuple[int, str], ...]
+_Word = tuple[Word, Word, bool]
+_State = tuple[_Word, _Entries, tuple[_Record | None, ...]]
+_START: _State = ((b"", b"", False), (), ((0,) * 8,))
+
+
+def _grow_record(record: _Record, match: int) -> _Record:
+    # the record after one more symbol s; match is -1 when no abc or abbc
+    # ends at s, else 2 * t + 1 for a literal abc of triple t, which
+    # starts two symbols back, and 2 * t for an abbc, three symbols back
+    *counts, literal, covered = record
+    if match >= 0 and covered >= 3 - (match & 1):
+        t = match >> 1
+        counts[t] += 1
+        if match & 1:
+            literal |= _ROTATION_BIT[t]
+    return (*counts, literal, min(covered + 1, 3))
+
+
 def labels_by_root(n: int) -> dict[Word, set[Label]]:
     """Labels of every canonical length-``n`` ternary word, grouped by its root.
 
     Descendants of a canonical root are exactly the canonical members of
     its cone, so the labels of the canonical length-``n`` words are every
-    root's label set at this length.  The sweep labels only their images
-    under ``_cap_runs``, the canonical words with no run of three symbols
-    that have length ``n`` or, shorter, hold a run ``ss``:
+    root's label set at this length.  A word has the label of its image
+    under ``_cap_runs``, so it suffices to label the canonical words with
+    no run of three symbols that have length ``n`` or, shorter, hold a
+    run ``ss``:
 
     1. ``compute_label`` caps runs first, and capping is idempotent, so
        ``compute_label(w) == compute_label(_cap_runs(w))``, root included.
@@ -206,29 +238,177 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
        so canonical words map to canonical words.
 
     Of those it skips each ``u + ss`` with ``ss`` in ``u``: its label is
-    that of ``u + s``, a canonical word the sweep labels (the tail rule,
-    proved at ``oracle._labelled``).  ``enumerate_labels`` picks the words
-    of a root's cone by the same rule.
+    that of ``u + s`` (the tail rule, proved at ``oracle._labelled``).
+    ``enumerate_labels`` picks the words of a root's cone by the same rule.
 
-    The walk is in preorder, so the last word one symbol shorter that it
-    yielded is a word's parent: each word's root stack resumes from its
-    parent's and reads one symbol.
+    The words are not labelled one by one.  The sweep walks their
+    prefixes length by length and merges the prefixes that reach the same
+    state: two prefixes with one state get the same label after every
+    extension, so each distinct state is extended once.  The state, its
+    step and the proof are at ``_sweep``.
     """
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    buckets: dict[Word, set[tuple[tuple[int, str], ...]]] = {}
-    # states[d] is the root stack of the current word's length-d prefix
-    states = [_stack(b"", 3)]
-    # canonical words (symbols first occur in the order 0, 1, 2) of length
-    # 1..n with no run of three: each is its own cap, so the lines below
-    # are compute_label(w) with the root stack resumed
-    for w in _walk(1, n, 3, 0, canonical=True):
-        state = _stack(w, 3, states[len(w) - 1])
-        states[len(w) :] = [state]
-        if _labelled(w, n):
-            root, last = state
-            buckets.setdefault(root, set()).add(_label_entries(w, root, last))
+    extend = _sweep(n)
+    buckets: dict[Word, set[_Entries]] = {}
+    states = {_START}
+    for length in range(1, n + 1):
+        grown: set[_State] = set()
+        for state in states:
+            for new, label in extend(state, length):
+                if label is not None:
+                    buckets.setdefault(new[0][0], set()).add(label)
+                if length < n:
+                    grown.add(new)
+        states = grown
     return {root: {Label(root, e) for e in entries} for root, entries in buckets.items()}
+
+
+def _sweep(n: int) -> Callable[[_State, int], Iterator[tuple[_State, _Entries | None]]]:
+    # the step of the label sweep to length n: extend(state, length) takes
+    # the state of a prefix x of length - 1 and yields (state of x + s,
+    # label entries of x + s or None) for each symbol s that keeps x + s
+    # canonical with no run of three, the entries when _labelled picks
+    # x + s.  The memos are the function's own, region plans included.  The
+    # part of a state that the symbols alone decide, (S, tail, pair), is
+    # built once per step of it, and equal entry and record tuples are kept
+    # once: merged states share what they hold, and a finished sweep leaves
+    # nothing behind.
+    #
+    # The state of a run-capped canonical prefix x of length L, with
+    # h = n - L symbols left (_peel's notation: S is the root stack of x,
+    # last its depth table; region i ends at depth D_i and reads the
+    # window x[start_i:last[D_i]]):
+    #   S, the le-3 root stack of x, and d = len(S);
+    #   tail, the last two symbols of x, and the third last too when the
+    #     last two are equal: a b^m with m <= 2, where b is the stack's top
+    #     and a the symbol below it (the top is the symbol last read, and
+    #     the one below it the last symbol read before that run,
+    #     roots._stack), so beyond S the tail tells only whether m is 2;
+    #   pair, whether x[:-1] holds a run ss;
+    #   entries, the entries of the closed regions of S, those with
+    #     D_i < d;
+    #   records, one per closed region and one for the first open region
+    #     (the one after the closed ones, whether S holds it yet or not).
+    #     Record i summarises x[start_i:]: per distinct triple t the
+    #     number of matches of abc and abbc (t = abc, count_occurrences),
+    #     which rotation classes occur literally (a sign asks only
+    #     whether some rotation of the region's triple does), and
+    #     min(L - start_i, 3).  The record of a closed region with
+    #     D_i < d - 2h is dropped (None).
+    # The symbols x uses are those of S, and the run check needs tail.
+    #
+    # Facts:
+    # 1. Whether a region ends at depth D, and its parse, read only
+    #    S[:D + 1] (main_and_region reads one symbol past the region, and
+    #    whether the next region exists reads S[D - 2:D + 2]).  So a
+    #    stack that starts with S[:e] has the regions of S that end below
+    #    e, and no other region ending below e.
+    # 2. last[D] is the length at which the depth last rose from D, and
+    #    the stack keeps S[:D + 1] while the depth stays above D: while it
+    #    does, no symbol moves a closed region's window or parse.
+    # 3. A window ends in a b^m, m <= 2, its stack's last two symbols
+    #    (_peel), so the next window starts at that a, in the tail.
+    # 4. Each abc, abbc and literal triple of x is counted once, by the
+    #    symbol that ends it, in every record that starts at or before
+    #    its first symbol.
+    #
+    # The step from x to x + s, with S' the stack after s and d' = len(S'):
+    # - s repeats the last symbol: S' = S, no region closes and no match
+    #   ends at s; only the records' symbol count grows.
+    # - Push, S' = S + s: last[d] = L.  By fact 1 the only region that can
+    #   close is the first open one, when S' parses it as ending at d; its
+    #   window is then x[start:L], so its entry is read from its record
+    #   before s is added.  The next record opens at the last a of that
+    #   window, which by fact 3 is the tail a b^m itself: no triple, and
+    #   len(tail) symbols.
+    # - Pop, S' = S[:d']: last[D] is unchanged below d'.  The entries and
+    #   records of regions with D >= d' go, but the record of the first of
+    #   them, now the first open region, stays: its window will end at or
+    #   after L + 1, and the record already holds x[start:].
+    # - Each record then adds the match that ends at s, if it starts
+    #   inside the record (fact 4).
+    # Horizon rule: a step pops at most two symbols, so with h symbols
+    # left the depth stays at or above d - 2h.  A closed region with
+    # D < d - 2h can never be open again, so its entry is final and its
+    # record is never read.  The bound d - 2h never decreases, because
+    # d' >= d - 2 and h falls by one.
+    #
+    # The label of x, read out when _labelled picks it: the root is S, and
+    # the entries are those of the closed regions, plus the entry of the
+    # region ending at d, read from the first open record (its window is
+    # x[start:L], last[d] being L), if S has such a region.
+    #
+    # By induction on y, the label of x + y is a function of the state of
+    # x and of y: each step's state is a function of the state and the
+    # symbol, and each label of the state alone.  That is the merge.  The
+    # last length is not stored: each of its extensions is read out.
+
+    @cache
+    def step(S: Word, s: int) -> Word:
+        return _stack(S + bytes((s,)), 3)[0]
+
+    @cache
+    def regions(S: Word) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
+        # end depths and triple numbers of the regions of S, how many are
+        # closed, and whether the last one ends at len(S)
+        plan = _region_plan(S)
+        opens = bool(plan) and plan[-1][0] == len(S)
+        ends = tuple(region[0] for region in plan)
+        return ends, tuple(_TRIPLE_INDEX[region[1]] for region in plan), len(plan) - opens, opens
+
+    @cache
+    def moves(word: _Word) -> tuple[tuple[_Word, int], ...]:
+        # ((S', tail', pair'), match) for each symbol s that keeps x + s
+        # canonical and free of runs of three; the match ending at s is the
+        # a b s or a b b s of a tail a b or a b b, when a b s is a distinct
+        # triple
+        S, tail, pair = word
+        pair2 = pair or len(tail) >= 2 and tail[-1] == tail[-2]
+        out = []
+        for s in _extensions(tail, min(max(S, default=-1) + 2, 3), 0):
+            sym = bytes((s,))
+            if tail[-1:] == sym:
+                out.append(((S, tail + sym, pair2), -1))
+                continue
+            t = _TRIPLE_INDEX.get(tail[:2] + sym)
+            match = -1 if t is None else 2 * t + (len(tail) == 2)
+            out.append(((step(S, s), tail[-1:] + sym, pair2), match))
+        return tuple(out)
+
+    grow = cache(_grow_record)
+    shared: dict[tuple, tuple] = {}
+
+    @cache
+    def entry(record: _Record, t: int) -> tuple[int, str]:
+        return record[t], "+" if record[6] & _ROTATION_BIT[t] else "-"
+
+    def extend(state: _State, length: int) -> Iterator[tuple[_State, _Entries | None]]:
+        word, entries, records = state
+        reach = 2 * (n - length)
+        c = len(entries)
+        for word2, match in moves(word):
+            S2, tail2, pair2 = word2
+            ends, triples, closed, opens = regions(S2)
+            if closed > c:
+                entries2 = entries + (entry(records[c], triples[c]),)
+                # the next record holds the tail a b^m: no triple yet
+                records2 = records + ((0,) * 7 + (len(word[1]),),)
+            else:
+                entries2 = entries[:closed]
+                records2 = records[: closed + 1]
+            dropped = min(bisect_left(ends, len(S2) - reach), closed)
+            records2 = (None,) * dropped + tuple(grow(r, match) for r in records2[dropped:])
+            records2 = shared.setdefault(records2, records2)
+            entries2 = shared.setdefault(entries2, entries2)
+            label = None
+            if _labelled(length, n, tail2, pair2):
+                label = entries2
+                if opens:
+                    label += (entry(records2[closed], triples[closed]),)
+            yield (word2, entries2, records2), label
+
+    return extend
 
 
 def _root_optimum(

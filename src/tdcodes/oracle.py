@@ -33,9 +33,9 @@ __all__ = [
 def _extensions(prefix: Word, q: int, k: int) -> Iterator[int]:
     # symbols that keep the prefix free of duplicates vv with |v| <= k; only
     # duplicates ending at the new position need checking, and they reach
-    # back at most 2k - 1 symbols.  k = 0 (the label sweep's walk over
-    # run-capped words) refuses only a symbol equal to the last two, so
-    # the prefix keeps no run of three symbols
+    # back at most 2k - 1 symbols.  k = 0 (the label sweep's run check)
+    # refuses only a symbol equal to the last two, so the prefix keeps no
+    # run of three symbols
     n = len(prefix)
     for s in range(q):
         if k == 0 and n >= 2 and prefix[-1] == s == prefix[-2]:
@@ -247,16 +247,24 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
     by_length = _cone(r, n, budget, capped=True)
-    return {compute_label(w) for words in by_length.values() for w in words if _labelled(w, n)}
+    return {
+        compute_label(w)
+        for words in by_length.values()
+        for w in words
+        if _labelled(len(w), n, w[-2:], _PAIR.search(w, 0, len(w) - 1) is not None)
+    }
 
 
 _PAIR = re.compile(rb"(.)\1", re.DOTALL)
 
 
-def _labelled(w: Word, n: int) -> bool:
-    # whether a label route labels the word w with no run of three and
-    # length at most n: w has length n or holds a run ss (it is the cap of
-    # a length-n word), and it is not u + ss with ss in u (the tail rule).
+def _labelled(length: int, n: int, tail: Word, pair: bool) -> bool:
+    # whether a label route labels a word w with no run of three, length
+    # at most n, last symbols tail (two at least, when w has them) and
+    # pair telling whether w[:-1] holds a run ss: w has length n or holds
+    # a run ss (it is the cap of a length-n word), and it is not u + ss
+    # with ss in u (the tail rule).  With no run of three, w ends in ss
+    # and u holds ss exactly when w ends in ss and w[:-1] holds ss.
     # Such a word w = u + s + s has the label of u + s, which holds ss,
     # does not end in ss, and is a shorter member of the same route, so
     # labelled already.  Appending s to a word x ending in s keeps its
@@ -271,9 +279,8 @@ def _labelled(w: Word, n: int) -> bool:
     #    abbc or rotation of a distinct triple ends at it: their last two
     #    symbols differ, and the grown prefix ends in ss.  So every count
     #    and sign stays the same.
-    return (len(w) == n or _PAIR.search(w) is not None) and (
-        len(w) < 3 or w[-1] != w[-2] or _PAIR.search(w, 0, len(w) - 2) is None
-    )
+    ends_in_pair = len(tail) >= 2 and tail[-1] == tail[-2]
+    return (length == n or pair or ends_in_pair) and not (pair and ends_in_pair)
 
 
 def canonical_form(x: Word, q: int = 3) -> tuple[Word, int]:

@@ -13,7 +13,6 @@ ten symbols of a pumped period-3 factor, whatever its length.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Sequence
 
 from .words import _EQ, Word, _delete, _equal_next, _free_byte, _root_text, check_word
 
@@ -105,16 +104,7 @@ def _stack_triples(y: Word) -> tuple[Word, list[int]]:
     return r, [starts[j // 3] + j % 3 if j < kept else j + shift for j in last]
 
 
-def _stack(
-    x: Word, k: int, start: tuple[Word, Sequence[int]] = (b"", (0,))
-) -> tuple[Word, list[int]]:
-    # start is _stack(p, k) for a prefix p of x, by default the empty one:
-    # the stack resumes from that root and depth table and reads only
-    # x[len(p):], len(p) being the table's entry at the root's depth.  It
-    # ends in the state _stack(x, k) ends in, since the loop's state is
-    # exactly the root of the prefix read (its top three symbols included)
-    # and the table.  From the empty prefix x itself is read, not a copy.
-    #
+def _stack(x: Word, k: int) -> tuple[Word, list[int]]:
     # the stack st holds the le-k root of the prefix read so far.  A pushed
     # symbol can only complete a duplicate that ends at the top of the
     # stack, and removing that duplicate leaves a prefix of the previous
@@ -132,16 +122,12 @@ def _stack(
     # and only it reads below t3.  Every branch but the first changes the
     # depth, so x[:i] is the last prefix at the old depth n exactly when one
     # of them runs at symbol i.
-    root, last = start
-    st, last, n = bytearray(root), list(last), len(root)
-    begin = last[n]
-    t1 = root[n - 1] if n else -1
-    t2 = root[n - 2] if n >= 2 else -1
-    t3 = root[n - 3] if n >= 3 else -1
+    st, last, n = bytearray(), [0], 0
+    t1 = t2 = t3 = -1
     push = st.append
     two = k >= 2
     three = k == 3
-    for i, s in enumerate(x[begin:] if begin else x, begin):
+    for i, s in enumerate(x):
         if s == t1:
             continue
         last[n] = i

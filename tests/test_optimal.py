@@ -1,8 +1,10 @@
+import functools
 import itertools
 import multiprocessing
 import os
 import random
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +30,13 @@ from tdcodes import (
     count_regions,
     validate_code,
 )
-from tdcodes import optimal
 from tdcodes.confusability import _cap_runs, _label_entries
-from tdcodes.optimal import SizeCache, _check_line, _max_clique_masks
+from tdcodes.optimal import _START, SizeCache, _check_line, _max_clique_masks, _sweep
 from tdcodes.oracle import _walk
 
+import references
 from conftest import iter_canonical_ternary, w
+from references import labels_by_root_words
 
 
 def test_graph_examples():
@@ -211,6 +214,50 @@ def test_stretch_labels_by_root_equals_every_word_reference(n):
     assert labels_by_root(n) == _labels_of_every_word(n)
 
 
+@pytest.mark.parametrize("n", range(1, 14))
+def test_labels_by_root_equals_the_word_sweep(n):
+    # the sweep over merged prefix states against the reference that labels
+    # every word it walks
+    assert labels_by_root(n) == labels_by_root_words(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_stretch_labels_by_root_equals_the_word_sweep(n):
+    assert labels_by_root(n) == labels_by_root_words(n)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_prefixes_with_one_sweep_state_get_the_same_labels(n):
+    # every canonical prefix with no run of three up to length 9, grouped by
+    # its length and sweep state: within a group, x + y has the same label
+    # for every extension y up to length n, computed word by word
+    @functools.cache
+    def extension_labels(x):
+        grown = ()
+        if len(x) < n:
+            grown = tuple(
+                extension_labels(x + bytes((s,)))
+                for s in range(min(max(x) + 2, 3))
+                if not x.endswith(bytes((s, s)))
+            )
+        return compute_label(x), grown
+
+    extend = _sweep(n)
+    states = {b"": _START}
+    groups = {}
+    for x in _walk(1, min(n, 9), 3, 0, canonical=True):
+        states[x] = next(state for state, _ in extend(states[x[:-1]], len(x)) if state[0][1][-1] == x[-1])
+        groups.setdefault((len(x), states[x]), []).append(x)
+    for first, *rest in groups.values():
+        for x in rest:
+            assert extension_labels(x) == extension_labels(first), (first, x)
+    if n >= 6:
+        assert len(groups) < len(states) - 1  # the sweep merges prefixes
+
+
 def _tail_rule_words(words):
     # the words u + ss with a run ss in u, whose label is that of u + s
     return {
@@ -222,16 +269,17 @@ def _tail_rule_words(words):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sweep_labels_exactly_the_run_capped_images(n, monkeypatch):
-    # the words the sweep peels into label entries are the caps of the
-    # canonical length-n words, but for the tail rule's words, each once
+    # the words the reference word sweep peels into label entries are the
+    # caps of the canonical length-n words, but for the tail rule's words,
+    # each once
     labelled = []
 
     def recording(x, r, last):
         labelled.append(x)
         return _label_entries(x, r, last)
 
-    monkeypatch.setattr(optimal, "_label_entries", recording)
-    labels_by_root(n)
+    monkeypatch.setattr(references, "_label_entries", recording)
+    labels_by_root_words(n)
     caps = {_cap_runs(x) for x in iter_canonical_ternary(n, n)}
     assert len(labelled) == len(set(labelled))
     assert set(labelled) == caps - _tail_rule_words(caps)
@@ -316,6 +364,48 @@ def test_optimal_size_for_root_over_more_than_three_symbols(root, n, size):
     )
     assert nx.max_weight_clique(graph, weight=None)[1] == size
     assert optimal_size_for_root(r, n) == size
+
+
+def _paper_optima() -> dict[int, int]:
+    # the reference table's lower_known column on the rows its optimal
+    # flag marks as exact
+    text = resources.files("tdcodes").joinpath("fixtures", "reference_table.tsv").read_text()
+    header, *lines = text.splitlines()
+    rows = [dict(zip(header.split("\t"), line.split("\t"))) for line in lines if line.strip()]
+    return {int(row["n"]): int(row["lower_known"]) for row in rows if row["optimal"] == "1"}
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_optimal_size_equals_the_paper_optimum(n):
+    assert optimal_size(n) == _paper_optima()[n]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+@pytest.mark.parametrize("n", range(17, 21))
+def test_stretch_optimal_size_equals_the_paper_optimum(n):
+    assert optimal_size(n) == _paper_optima()[n]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+def test_stretch_max_clique_equals_networkx_on_the_largest_label_graphs():
+    # the five n = 18 roots with the most labels (182 down to 122), whose
+    # graphs hold thousands of edges
+    nx = pytest.importorskip("networkx")
+    by_root = labels_by_root(18)
+    for root in sorted(by_root, key=lambda r: (-len(by_root[r]), r))[:5]:
+        graph = graph_from_labels(by_root[root])
+        g = nx.Graph()
+        g.add_nodes_from(range(len(graph.vertices)))
+        g.add_edges_from(
+            (u, v) for u, mask in enumerate(graph.adjacency) for v in range(u) if mask >> v & 1
+        )
+        size, witness = max_clique(graph)
+        assert nx.max_weight_clique(g, weight=None)[1] == size, root
+        assert all(not labels_confusable(a, b) for a, b in itertools.combinations(witness, 2))
 
 
 def test_size_cache_roundtrip(tmp_path):

@@ -16,7 +16,7 @@ from tdcodes import (
 from tdcodes.roots import _TRIPLE_FLOOR, _stack, _stack_triples, root_le3_depths
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
-from references import remove_duplicates_pass
+from references import remove_duplicates_pass, resumed_stack
 
 
 def test_root_le_k_examples():
@@ -98,14 +98,14 @@ def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_resumed_stack_equals_the_fresh_stack_exhaustive(k):
-    # resuming from the root and depth table of x[:i] reads x[i:] into the
-    # root and depth table of x, for every split point i of every ternary
-    # word of length <= 10
+    # resuming from the root and depth table of x[:i] (the reference word
+    # sweep's stack) reads x[i:] into the root and depth table of x, for
+    # every split point i of every ternary word of length <= 10
     states = {b"": _stack(b"", k)}
     for x in iter_ternary_words(1, 10):
         states[x] = full = _stack(x, k)
         for i in range(len(x) + 1):
-            assert _stack(x, k, states[x[:i]]) == full, (x, i)
+            assert resumed_stack(x, k, states[x[:i]]) == full, (x, i)
         if len(x) == 10:
             del states[x]
 
@@ -118,7 +118,7 @@ def test_resumed_stack_equals_the_fresh_stack_over_byte_alphabets(x):
     for k in (1, 2, 3):
         full = _stack(x, k)
         for i in range(len(x) + 1):
-            assert _stack(x, k, _stack(x[:i], k)) == full, (k, i)
+            assert resumed_stack(x, k, _stack(x[:i], k)) == full, (k, i)
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
