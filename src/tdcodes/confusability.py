@@ -12,6 +12,7 @@ labels decide confusability of the underlying words directly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -350,18 +351,12 @@ class Label:
 
     @classmethod
     def parse(cls, text: str) -> "Label":
-        root_part, _, body = text.partition(":")
-        root = _parse_root(root_part)
-        entries = []
-        for piece in body.split(")"):
-            piece = piece.strip("(")
-            if not piece:
-                continue
-            c, s = piece.split(",")
-            if s not in ("+", "-"):
-                raise ValueError(f"bad sign in label entry {piece!r}")
-            entries.append((int(c), s))
-        return cls(root, tuple(entries))
+        # exactly what text() writes: every count positive, with no leading zero
+        match = re.fullmatch(r"([^:]*):((?:\([1-9][0-9]*,[+-]\))*)", text)
+        if match is None:
+            raise ValueError(f"malformed label {text!r}")
+        entries = re.findall(r"\(([0-9]+),([+-])\)", match[2])
+        return cls(_parse_root(match[1]), tuple((int(c), s) for c, s in entries))
 
 
 def compute_label(x: Word) -> Label:

@@ -168,8 +168,6 @@ class SizeCache:
         return self._mem.get((root, n))
 
     def put(self, root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
-        if self._mem.get((root, n)) == (size, witness):
-            return
         _check_line(root, n, size, witness)
         self._mem[(root, n)] = (size, witness)
         if self.path:
@@ -194,27 +192,28 @@ class SizeCache:
 _TRIPLE_INDEX = {bytes(t): i for i, t in enumerate(permutations(range(3)))}
 _ROTATION_BIT = tuple(1 << ((t[1] - t[0]) % 3) for t in permutations(range(3)))
 
-# A sweep record: six match counts, one per triple, the rotation classes
-# that occur literally, and how many symbols it covers, capped at three.
+# A sweep record: six match counts, one per triple, and the rotation
+# classes that occur literally.
 # A sweep state: ((S, tail, pair), entries, records), see _sweep.
-_Record = tuple[int, int, int, int, int, int, int, int]
+_Record = tuple[int, int, int, int, int, int, int]
 _Entries = tuple[tuple[int, str], ...]
 _Word = tuple[Word, Word, bool]
 _State = tuple[_Word, _Entries, tuple[_Record | None, ...]]
-_START: _State = ((b"", b"", False), (), ((0,) * 8,))
+_START: _State = ((b"", b"", False), (), ((0,) * 7,))
 
 
 def _grow_record(record: _Record, match: int) -> _Record:
     # the record after one more symbol s; match is -1 when no abc or abbc
-    # ends at s, else 2 * t + 1 for a literal abc of triple t, which
-    # starts two symbols back, and 2 * t for an abbc, three symbols back
-    *counts, literal, covered = record
-    if match >= 0 and covered >= 3 - (match & 1):
-        t = match >> 1
-        counts[t] += 1
-        if match & 1:
-            literal |= _ROTATION_BIT[t]
-    return (*counts, literal, min(covered + 1, 3))
+    # ends at s, else 2 * t + 1 for a literal abc of triple t and 2 * t
+    # for an abbc
+    if match < 0:
+        return record
+    t = match >> 1
+    *counts, literal = record
+    counts[t] += 1
+    if match & 1:
+        literal |= _ROTATION_BIT[t]
+    return (*counts, literal)
 
 
 def labels_by_root(n: int) -> dict[Word, set[Label]]:
@@ -292,10 +291,9 @@ def _sweep(n: int) -> Callable[[_State, int], Iterator[tuple[_State, _Entries | 
     #     (the one after the closed ones, whether S holds it yet or not).
     #     Record i summarises x[start_i:]: per distinct triple t the
     #     number of matches of abc and abbc (t = abc, count_occurrences),
-    #     which rotation classes occur literally (a sign asks only
-    #     whether some rotation of the region's triple does), and
-    #     min(L - start_i, 3).  The record of a closed region with
-    #     D_i < d - 2h is dropped (None).
+    #     and which rotation classes occur literally (a sign asks only
+    #     whether some rotation of the region's triple does).  The record
+    #     of a closed region with D_i < d - 2h is dropped (None).
     # The symbols x uses are those of S, and the run check needs tail.
     #
     # Facts:
@@ -312,22 +310,26 @@ def _sweep(n: int) -> Callable[[_State, int], Iterator[tuple[_State, _Entries | 
     # 4. Each abc, abbc and literal triple of x is counted once, by the
     #    symbol that ends it, in every record that starts at or before
     #    its first symbol.
+    # 5. Every match that ends at a symbol starts inside every live
+    #    record.  The first record starts at 0.  A record opened when a
+    #    region closes covers the tail a b^m of the prefix (the push step
+    #    below).  An abc that ends at the next symbol starts two symbols
+    #    back and needs m = 1, an abbc starts three symbols back and needs
+    #    m = 2, so either starts at that a, and later matches start later.
     #
     # The step from x to x + s, with S' the stack after s and d' = len(S'):
     # - s repeats the last symbol: S' = S, no region closes and no match
-    #   ends at s; only the records' symbol count grows.
+    #   ends at s; the records stay as they are.
     # - Push, S' = S + s: last[d] = L.  By fact 1 the only region that can
     #   close is the first open one, when S' parses it as ending at d; its
     #   window is then x[start:L], so its entry is read from its record
     #   before s is added.  The next record opens at the last a of that
-    #   window, which by fact 3 is the tail a b^m itself: no triple, and
-    #   len(tail) symbols.
+    #   window, which by fact 3 is the tail a b^m itself: no triple yet.
     # - Pop, S' = S[:d']: last[D] is unchanged below d'.  The entries and
     #   records of regions with D >= d' go, but the record of the first of
     #   them, now the first open region, stays: its window will end at or
     #   after L + 1, and the record already holds x[start:].
-    # - Each record then adds the match that ends at s, if it starts
-    #   inside the record (fact 4).
+    # - Each record then adds the match that ends at s (facts 4 and 5).
     # Horizon rule: a step pops at most two symbols, so with h symbols
     # left the depth stays at or above d - 2h.  A closed region with
     # D < d - 2h can never be open again, so its entry is final and its
@@ -393,7 +395,7 @@ def _sweep(n: int) -> Callable[[_State, int], Iterator[tuple[_State, _Entries | 
             if closed > c:
                 entries2 = entries + (entry(records[c], triples[c]),)
                 # the next record holds the tail a b^m: no triple yet
-                records2 = records + ((0,) * 7 + (len(word[1]),),)
+                records2 = records + ((0,) * 7,)
             else:
                 entries2 = entries[:closed]
                 records2 = records[: closed + 1]

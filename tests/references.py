@@ -84,63 +84,22 @@ def assemble_lower_bounds_per_root(targets, cache=None) -> dict[int, int]:
     return totals
 
 
-def resumed_stack(x: Word, k: int, start: tuple[Word, list[int]]) -> tuple[Word, list[int]]:
-    """``roots._stack(x, k)`` resumed from ``start = roots._stack(p, k)`` for
-    a prefix ``p`` of ``x``: it reads only ``x[len(p):]``, ``len(p)`` being
-    the table's entry at the root's depth.
-
-    It ends in the state ``_stack(x, k)`` ends in, since the loop's state
-    is exactly the root of the prefix read (its top three symbols
-    included) and the depth table; the loop is ``_stack``'s.
-    """
-    root, last = start
-    st, last, n = bytearray(root), list(last), len(root)
-    begin = last[n]
-    t1 = root[n - 1] if n else -1
-    t2 = root[n - 2] if n >= 2 else -1
-    t3 = root[n - 3] if n >= 3 else -1
-    for i, s in enumerate(x[begin:], begin):
-        if s == t1:
-            continue
-        last[n] = i
-        if s == t2 and t3 == t1 and k >= 2:
-            del st[-1]
-            n -= 1
-            t1, t2, t3 = s, t3, st[n - 3] if n >= 3 else -1
-        elif s == t3 and k == 3 and n >= 5 and st[n - 4] == t1 and st[n - 5] == t2:
-            del st[-2:]
-            n -= 2
-            t1, t2, t3 = s, t1, t2
-        else:
-            st.append(s)
-            n += 1
-            t1, t2, t3 = s, t1, t2
-            if n == len(last):
-                last.append(0)
-    last[n] = len(x)
-    return bytes(st), last
-
-
 def labels_by_root_words(n: int):
     """``optimal.labels_by_root`` by labelling words one by one.
 
     It walks the canonical words with no run of three up to length ``n``
-    in preorder (``oracle._walk`` with ``k = 0``), resumes each word's
-    root stack from its parent's, and peels each word ``oracle._labelled``
-    picks.  The proof that these words give every label is in
-    ``labels_by_root``'s docstring.
+    (``oracle._walk`` with ``k = 0``) and peels each word
+    ``oracle._labelled`` picks.  The proof that these words give every
+    label is in ``labels_by_root``'s docstring.
     """
     from tdcodes.confusability import Label
     from tdcodes.oracle import _labelled, _walk
+    from tdcodes.roots import _stack
 
     buckets = {}
-    # states[d] is the root stack of the current word's length-d prefix
-    states = [(b"", [0])]
     for w in _walk(1, n, 3, 0, canonical=True):
-        state = resumed_stack(w, 3, states[len(w) - 1])
-        states[len(w) :] = [state]
         pair = any(w[i] == w[i + 1] for i in range(len(w) - 2))
         if _labelled(len(w), n, w[-2:], pair):
-            root, last = state
+            root, last = _stack(w, 3)
             buckets.setdefault(root, set()).add(_label_entries(w, root, last))
     return {root: {Label(root, e) for e in entries} for root, entries in buckets.items()}

@@ -36,6 +36,7 @@ from tdcodes.confusability import (
     _swap_steps,
 )
 from tdcodes.roots import root_le3_depths
+from tdcodes.words import _free_byte
 
 from conftest import (
     iter_canonical_ternary,
@@ -211,9 +212,15 @@ def test_cap_runs_matches_loop_over_byte_alphabets(data):
         label="runs",
     )
     x = b"".join(bytes((s,)) * k for s, k in runs)
+    low = 1
     if full:
-        x += bytes(data.draw(st.permutations(alphabet), label="perm"))
-    x = x[: data.draw(st.integers(1, len(x)), label="length")]
+        # the cut keeps every byte value and the first run, so no byte is
+        # free to mark the capped symbols (words._delete's other branch)
+        x = bytes(data.draw(st.permutations(alphabet), label="perm")) + x
+        low = 256 + runs[0][1]
+    x = x[: data.draw(st.integers(low, len(x)), label="length")]
+    if full:
+        assert _free_byte(x) is None
     got = _cap_runs(x)
     assert got == _cap_runs_by_loop(x)
     if got == x:

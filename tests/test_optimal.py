@@ -460,11 +460,12 @@ def test_size_cache_reports_malformed_line(tmp_path, capsys):
     from tdcodes.cli import main
 
     path = tmp_path / "cache.tsv"
-    path.write_text("012\t9\t2\t012:(1,-);012:(2,+)\n012\t7\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed size-cache line")):
+    # a comment and a blank line are skipped, but counted
+    path.write_text("# sizes\n\n012\t9\t2\t012:(1,-);012:(2,+)\n012\t7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: malformed size-cache line")):
         SizeCache(str(path))
     assert main(["--cache", str(path), "optimal", "--n", "4"]) == 2
-    assert f"error: {path}:2: malformed size-cache line" in capsys.readouterr().err
+    assert f"error: {path}:4: malformed size-cache line" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +542,16 @@ def test_size_cache_concurrent_writers(tmp_path):
         "012\t9\t3\t012:(1,-)(1,-);012:(1,-)(2,+);012:(2,+)(2,+)",
         "0110\t5\t1\t0110:",  # a word that is not a root
         "012\t2\t1\t012:",  # a length below the root's
+        # label text that Label.text never writes
+        "012\t9\t2\t012:1,-;012:(2,+)",
+        "012\t9\t2\t012:((1,-);012:(2,+)",
+        "012\t9\t2\t012:(1,-);012:(2,+",
+        "012\t9\t2\t012:)(1,-);012:(2,+)",
+        "012\t9\t2\t012:( 1,-);012:(2,+)",
+        "012\t9\t2\t012:(01,-);012:(2,+)",
+        "012\t9\t2\t012:(0,-);012:(2,+)",
+        "012\t9\t2\t012:(-1,-);012:(2,+)",
+        "01\t5\t1\t01",  # no ":", for a root with no region
     ],
 )
 def test_size_cache_rejects_bad_witness(tmp_path, capsys, line):

@@ -14,9 +14,10 @@ from tdcodes import (
     tandem_duplicate,
 )
 from tdcodes.roots import _TRIPLE_FLOOR, _stack, _stack_triples, root_le3_depths
+from tdcodes.words import _free_byte
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
-from references import remove_duplicates_pass, resumed_stack
+from references import remove_duplicates_pass
 
 
 def test_root_le_k_examples():
@@ -96,31 +97,6 @@ def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
         assert _stack_triples(x) == _stack(x, 3), x
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_resumed_stack_equals_the_fresh_stack_exhaustive(k):
-    # resuming from the root and depth table of x[:i] (the reference word
-    # sweep's stack) reads x[i:] into the root and depth table of x, for
-    # every split point i of every ternary word of length <= 10
-    states = {b"": _stack(b"", k)}
-    for x in iter_ternary_words(1, 10):
-        states[x] = full = _stack(x, k)
-        for i in range(len(x) + 1):
-            assert resumed_stack(x, k, states[x[:i]]) == full, (x, i)
-        if len(x) == 10:
-            del states[x]
-
-
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(st.sampled_from((3, 4, 5, 256)).flatmap(
-    lambda q: st.binary(max_size=14).map(lambda b: bytes(c % q for c in b))
-))
-def test_resumed_stack_equals_the_fresh_stack_over_byte_alphabets(x):
-    for k in (1, 2, 3):
-        full = _stack(x, k)
-        for i in range(len(x) + 1):
-            assert resumed_stack(x, k, _stack(x[:i], k)) == full, (k, i)
-
-
 @pytest.mark.parametrize("kind", [bytes, bytearray])
 def test_fresh_stack_does_not_copy_the_word(kind):
     # one run of 64 KiB: the stack holds one symbol and the table two entries
@@ -153,16 +129,23 @@ def test_triple_prepass_on_pumped_words(data):
     # words over 3, 4, 5 or 256 byte values of lengths on both sides of the
     # floor, built from pieces that pump a triple, a pair or one symbol
     # between plain stretches, so that runs of equal aligned triples start
-    # at every phase; with 256 values some words hold every byte value, and
-    # no byte is free to mark the dropped symbols
+    # at every phase
     q = data.draw(st.sampled_from((3, 4, 5, 256)), label="q")
     alphabet = data.draw(
         st.lists(st.integers(0, 255), min_size=q, max_size=q, unique=True), label="alphabet"
     )
-    n = data.draw(st.integers(1, 3 * _TRIPLE_FLOOR), label="length")
+    every = q == 256 and data.draw(st.booleans(), label="every byte value")
+    n = data.draw(st.integers(_TRIPLE_FLOOR if every else 1, 3 * _TRIPLE_FLOOR), label="length")
     pieces = []
-    if q == 256 and data.draw(st.booleans(), label="every byte value"):
+    if every:
+        # every byte value, then five or more copies of a triple: at least
+        # three equal aligned blocks, so a dropped one.  Both end within
+        # 256 + 600 < _TRIPLE_FLOOR symbols, so the cut keeps them, and no
+        # byte is free to mark the dropped symbols
         pieces.append(bytes(data.draw(st.permutations(alphabet), label="permutation")))
+        triple = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=3, max_size=3)))
+        pieces.append(triple * data.draw(st.integers(5, 200), label="copies"))
+    head = len(pieces)
     size = sum(map(len, pieces))
     while size < n:
         kind = data.draw(st.sampled_from((3, 2, 1, 0)), label="period")
@@ -171,9 +154,11 @@ def test_triple_prepass_on_pumped_words(data):
             piece = bytes(factor) * data.draw(st.integers(2, 200), label="copies")
         else:
             piece = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=30)))
-        pieces.insert(data.draw(st.integers(0, len(pieces)), label="at"), piece)
+        pieces.insert(data.draw(st.integers(head, len(pieces)), label="at"), piece)
         size += len(piece)
     x = b"".join(pieces)[:n]
+    if every:
+        assert _free_byte(x) is None
     expected = _stack(x, 3)
     assert root_le3_depths(x) == expected
     assert _stack_triples(x) == expected
