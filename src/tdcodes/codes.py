@@ -19,9 +19,9 @@ from math import perm
 
 from .words import Word, _root_text, check_word, pad_tail
 from .words import tandem_duplicate
-from .confusability import _regions, confusable, main_and_region
+from .confusability import Label, _regions, compute_label, labels_confusable, main_and_region
 from .oracle import _check_alphabet, _walk, canonical_form, irreducible_counts
-from .roots import _check_root, root_le3
+from .roots import _check_root
 
 __all__ = [
     "Code",
@@ -336,22 +336,23 @@ def recursive_code(r: Word, n: int) -> Code:
 def find_confusable_pair(code: Code) -> tuple[Word, Word] | None:
     """First confusable pair of distinct words in ``code``, or ``None``.
 
-    Words are grouped by root first: words with different roots are never
-    confusable, which is also the decision's first test.
+    Each word is labelled once; pairs with equal roots are decided from
+    their labels in sorted word order, the order of a pairwise search.
     """
-    groups: dict[Word, list[Word]] = {}
+    groups: dict[Word, list[tuple[Word, Label]]] = {}
     for w in code.sorted_words():
-        groups.setdefault(root_le3(w), []).append(w)
+        label = compute_label(w)
+        groups.setdefault(label.root, []).append((w, label))
     for group in groups.values():
-        for i, x in enumerate(group):
-            for y in group[i + 1 :]:
-                if confusable(x, y):
+        for i, (x, lx) in enumerate(group):
+            for y, ly in group[i + 1 :]:
+                if labels_confusable(lx, ly):
                     return x, y
     return None
 
 
 def validate_code(code: Code) -> bool:
-    """True iff every pair of distinct words in ``code`` is non-confusable."""
+    """True iff no two words of ``code`` are confusable, labelling each word once."""
     for w in code.words:
         check_word(w, code.q)
         if len(w) != code.n:

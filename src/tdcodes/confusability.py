@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .words import (
@@ -244,27 +243,10 @@ def _region_plan(r: Word) -> _Plan:
     )
 
 
-# Plans of roots up to _PLAN_CACHE_ROOT_MAX symbols are cached, as many as
-# 8,192, so decisions and cone labels parse each short root once.  The
-# label sweep does not fill the cache: it parses each root stack it reaches
-# (the canonical irreducible words up to its length, 4,615 at length 20) in
-# a memo of its own, which it frees when it returns.
-# A plan takes about 100 bytes per root symbol, so longer roots are not
-# cached; building one reads no more than the root pass over a word with
-# that root.
-_PLAN_CACHE_SIZE = 1 << 13
-_PLAN_CACHE_ROOT_MAX = 32
-_cached_region_plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_region_plan)
-
-
-def _plan(r: Word) -> _Plan:
-    return _cached_region_plan(r) if len(r) <= _PLAN_CACHE_ROOT_MAX else _region_plan(r)
-
-
 def _peel(x: Word, plan: _Plan, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
     # ((count, sign), start, end) per region of the root r of a word x
     # whose runs have at most two symbols (_cap_runs), where plan is
-    # _plan(r) and last is the depth table of x (roots.root_le3_depths).
+    # _region_plan(r) and last is the depth table of x (roots.root_le3_depths).
     # x[start:end] is the longest prefix of x[start:] generated from the
     # region, and the next round starts at the last a of it.  With T =
     # r[:offset] the part of the root that earlier rounds peeled off (each
@@ -326,7 +308,7 @@ def confusable(x: Word, y: Word) -> bool:
     ry, last_y = root_le3_depths(y)
     if r != ry:
         return False
-    plan = _plan(r)
+    plan = _region_plan(r)
     for (ex, _, _), (ey, _, _) in zip(_peel(x, plan, last_x), _peel(y, plan, last_y)):
         if not _entry_confusable(ex, ey):
             return False
@@ -363,13 +345,7 @@ def compute_label(x: Word) -> Label:
     """Compute the label of ``x`` by peeling its root region by region."""
     x = _cap_runs(check_word(x))
     r, last = root_le3_depths(x)
-    return Label(r, _label_entries(x, r, last))
-
-
-def _label_entries(x: Word, r: Word, last: list[int]) -> tuple[tuple[int, str], ...]:
-    # the label entries of a word x with runs capped, le-3 root r and depth
-    # table last, one (count, sign) per region of r
-    return tuple(entry for entry, _, _ in _peel(x, _plan(r), last))
+    return Label(r, tuple(entry for entry, _, _ in _peel(x, _region_plan(r), last)))
 
 
 def labels_confusable(lx: Label, ly: Label) -> bool:

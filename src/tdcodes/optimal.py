@@ -95,19 +95,12 @@ def max_clique(graph: LabelGraph) -> tuple[int, tuple[Label, ...]]:
     return size, tuple(sorted(label for v, label in enumerate(graph.vertices) if mask >> v & 1))
 
 
-@lru_cache(maxsize=256)
-def _root_regions(root: Word) -> int:
-    # the region count of a cache line's root, which must be a root;
-    # cached, since the lines a cache loads or stores share few roots
-    _check_root(root)
-    return count_regions(root)
-
-
 def _check_line(root: Word, n: int, size: int, witness: tuple[Label, ...]) -> None:
     # a cached size is trusted only for a root at a length it fits in, with
     # a witness code of that size: labels of the line's root with one entry
     # per region, pairwise non-confusable
-    regions = _root_regions(root)
+    _check_root(root)
+    regions = count_regions(root)
     if n < len(root):
         raise ValueError(f"target length {n} below root length {len(root)}")
     if len(witness) != size:
@@ -159,6 +152,8 @@ class SizeCache:
                         parse_label(piece) for piece in witness_text.split(";") if piece
                     )
                     n, size = int(n_text), int(size_text)
+                    if [str(n), str(size)] != [n_text, size_text]:
+                        raise ValueError(f"malformed length or size {n_text!r}, {size_text!r}")
                     _check_line(root, n, size, witness)
                     self._mem[(root, n)] = (size, witness)
                 except ValueError as exc:

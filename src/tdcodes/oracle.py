@@ -4,7 +4,7 @@ confusability, plus the label route over a root's run-capped cone.
 The enumerations, ``descendant_cone`` and ``oracle_confusable`` are brute
 force and never call the region-peeling decision, so they can serve as an
 oracle for it.  ``enumerate_labels`` is not: it walks the run-capped part
-of a root's cone and labels the words it keeps with ``compute_label``.
+of a root's cone and peels the words it keeps with the root's region plan.
 Cone searches are bounded and budgeted: a found witness is conclusive, an
 empty intersection is only conclusive up to the explored length.
 """
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import perm
 from typing import Iterator
 
 from .words import Word, ResourceBudgetError, _root_text, check_word
-from .confusability import Label, compute_label
-from .roots import _check_root
+from .confusability import Label, _peel, _region_plan
+from .roots import _check_root, root_le3_depths
 
 __all__ = [
     "enumerate_irreducible",
@@ -240,19 +241,23 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
     the run-capped members of length ``n``, and the shorter ones holding
     ``ss``, each the cap of the word that pumps that run to length ``n``.
     ``_labelled`` picks these out and skips the ones the tail rule shows
-    to repeat the label of a shorter one.  ``descendant_cone`` remains the
+    to repeat the label of a shorter one.  Those words are run-capped with
+    root ``r``, so each is peeled with one region plan of ``r``, as
+    ``compute_label`` would peel it.  ``descendant_cone`` remains the
     brute-force search over every member.
     """
     _check_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
     by_length = _cone(r, n, budget, capped=True)
-    return {
-        compute_label(w)
+    plan = _region_plan(r)
+    entries = {
+        tuple(entry for entry, _, _ in _peel(w, plan, root_le3_depths(w)[1]))
         for words in by_length.values()
         for w in words
         if _labelled(len(w), n, w[-2:], _PAIR.search(w, 0, len(w) - 1) is not None)
     }
+    return {Label(r, e) for e in entries}
 
 
 _PAIR = re.compile(rb"(.)\1", re.DOTALL)
@@ -289,17 +294,8 @@ def canonical_form(x: Word, q: int = 3) -> tuple[Word, int]:
     The orbit size is the number of distinct words obtainable from ``x``
     by injective relabelings into an alphabet of ``q`` symbols.
     """
-    mapping: dict[int, int] = {}
-    out = bytearray()
-    for s in x:
-        t = mapping.get(s)
-        if t is None:
-            t = mapping[s] = len(mapping)
-        out.append(t)
-    d = len(mapping)
+    seen = bytes(dict.fromkeys(x))
+    d = len(seen)
     if d > q:
         raise ValueError(f"word uses {d} symbols, alphabet has {q}")
-    orbit = 1
-    for j in range(d):
-        orbit *= q - j
-    return bytes(out), orbit
+    return x.translate(bytes.maketrans(seen, bytes(range(d)))), perm(q, d)

@@ -70,9 +70,11 @@ def _root_text(root: Word) -> str:
 
 
 def _parse_root(text: str) -> Word:
-    if "," in text:
-        return bytes(int(v) for v in text.split(",") if v)
-    return bytes(int(ch) for ch in text)
+    # exactly what _root_text writes: the root must write back as text
+    root = bytes(int(v) for v in (text.split(",") if "," in text else text) if v)
+    if _root_text(root) != text:
+        raise ValueError(f"malformed root {text!r}")
+    return root
 
 
 def check_word(x: Word, q: int | None = None) -> Word:

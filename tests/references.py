@@ -4,7 +4,7 @@ Each one checks a library function against a direct, independent
 computation of the same thing.
 """
 
-from tdcodes.confusability import _label_entries
+from tdcodes.confusability import compute_label
 
 Word = bytes
 
@@ -88,18 +88,36 @@ def labels_by_root_words(n: int):
     """``optimal.labels_by_root`` by labelling words one by one.
 
     It walks the canonical words with no run of three up to length ``n``
-    (``oracle._walk`` with ``k = 0``) and peels each word
-    ``oracle._labelled`` picks.  The proof that these words give every
-    label is in ``labels_by_root``'s docstring.
+    (``oracle._walk`` with ``k = 0``) and labels each word
+    ``oracle._labelled`` picks with ``compute_label``.  The proof that
+    these words give every label is in ``labels_by_root``'s docstring.
     """
-    from tdcodes.confusability import Label
     from tdcodes.oracle import _labelled, _walk
-    from tdcodes.roots import _stack
 
     buckets = {}
     for w in _walk(1, n, 3, 0, canonical=True):
         pair = any(w[i] == w[i + 1] for i in range(len(w) - 2))
         if _labelled(len(w), n, w[-2:], pair):
-            root, last = _stack(w, 3)
-            buckets.setdefault(root, set()).add(_label_entries(w, root, last))
-    return {root: {Label(root, e) for e in entries} for root, entries in buckets.items()}
+            label = compute_label(w)
+            buckets.setdefault(label.root, set()).add(label)
+    return buckets
+
+
+def find_confusable_pair_pairwise(code):
+    """``codes.find_confusable_pair`` by deciding every pair with ``confusable``.
+
+    Words are grouped by root in sorted order and each pair of a group is
+    decided in turn, so the first confusable pair is the one the library
+    returns.
+    """
+    from tdcodes import confusable, root_le3
+
+    groups = {}
+    for w in code.sorted_words():
+        groups.setdefault(root_le3(w), []).append(w)
+    for group in groups.values():
+        for i, x in enumerate(group):
+            for y in group[i + 1 :]:
+                if confusable(x, y):
+                    return x, y
+    return None

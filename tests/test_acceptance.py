@@ -10,7 +10,7 @@ import time
 import pytest
 
 import tdcodes as td
-from tdcodes.confusability import _cap_runs, _peel, _plan
+from tdcodes.confusability import _cap_runs, _peel, _region_plan
 from tdcodes.roots import root_le3_depths
 
 from conftest import w
@@ -338,7 +338,7 @@ def test_criterion_6_invariant_suites():
         cost = 0
         for z in (cx, cy):
             r, last = root_le3_depths(z)
-            cost += sum(j - i for _, i, j in _peel(z, _plan(r), last))
+            cost += sum(j - i for _, i, j in _peel(z, _region_plan(r), last))
         if cost > 3 * (len(cx) + len(cy)):
             ok = False
         label = td.compute_label(x)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tdcodes import (
@@ -22,7 +24,7 @@ from tdcodes import (
 )
 
 from conftest import w
-from references import assemble_lower_bounds_per_root
+from references import assemble_lower_bounds_per_root, find_confusable_pair_pairwise
 
 
 def test_irreducible_code_sizes():
@@ -248,6 +250,24 @@ def test_validate_code_negative():
     assert set(pair) == {w("012012"), w("012222")}
     with pytest.raises(ValueError):
         validate_code(Code(6, 3, frozenset((w("012"), w("012012"))), "manual"))
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_find_confusable_pair_matches_pairwise_reference(n):
+    # random parts of the assembled code, which span many roots, with up
+    # to three random words of the same length added: the labelled search
+    # returns the pair the pairwise decision finds first
+    rng = random.Random(n)
+    words = sorted(assemble_lower_bound(n).words)
+    found = set()
+    for _ in range(100):
+        part = set(rng.sample(words, rng.randint(2, 40)))
+        part |= {bytes(rng.randrange(3) for _ in range(n)) for _ in range(rng.randint(0, 3))}
+        code = Code(n, 3, frozenset(part), "sample")
+        pair = find_confusable_pair(code)
+        assert pair == find_confusable_pair_pairwise(code)
+        found.add(pair is None)
+    assert found == {False, True}
 
 
 def test_assemble_lower_bound_small():

@@ -30,7 +30,6 @@ from tdcodes.confusability import (
     _cap_runs,
     _expand_step,
     _peel,
-    _plan,
     _region_plan,
     _regions,
     _swap_steps,
@@ -402,7 +401,7 @@ def _table_peel(x):
     # _peel on the capped word, as the decision and labels run it
     x = _cap_runs(x)
     r, last = root_le3_depths(x)
-    return list(_peel(x, _plan(r), last))
+    return list(_peel(x, _region_plan(r), last))
 
 
 def test_depth_table_matches_scan_exhaustive():

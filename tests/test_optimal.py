@@ -30,7 +30,7 @@ from tdcodes import (
     count_regions,
     validate_code,
 )
-from tdcodes.confusability import _cap_runs, _label_entries
+from tdcodes.confusability import _cap_runs
 from tdcodes.optimal import _START, SizeCache, _check_line, _max_clique_masks, _sweep
 from tdcodes.oracle import _walk
 
@@ -269,16 +269,15 @@ def _tail_rule_words(words):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sweep_labels_exactly_the_run_capped_images(n, monkeypatch):
-    # the words the reference word sweep peels into label entries are the
-    # caps of the canonical length-n words, but for the tail rule's words,
-    # each once
+    # the words the reference word sweep labels are the caps of the
+    # canonical length-n words, but for the tail rule's words, each once
     labelled = []
 
-    def recording(x, r, last):
+    def recording(x):
         labelled.append(x)
-        return _label_entries(x, r, last)
+        return compute_label(x)
 
-    monkeypatch.setattr(references, "_label_entries", recording)
+    monkeypatch.setattr(references, "compute_label", recording)
     labels_by_root_words(n)
     caps = {_cap_runs(x) for x in iter_canonical_ternary(n, n)}
     assert len(labelled) == len(set(labelled))
@@ -552,6 +551,14 @@ def test_size_cache_concurrent_writers(tmp_path):
         "012\t9\t2\t012:(0,-);012:(2,+)",
         "012\t9\t2\t012:(-1,-);012:(2,+)",
         "01\t5\t1\t01",  # no ":", for a root with no region
+        # root, length and size text that SizeCache.put never writes
+        "0,1,2\t9\t2\t012:(1,-);012:(2,+)",
+        "0,,1,2\t9\t2\t012:(1,-);012:(2,+)",
+        " 0, 1,2\t9\t2\t012:(1,-);012:(2,+)",
+        "012\t+6\t2\t012:(1,-);012:(2,+)",
+        "012\t06\t2\t012:(1,-);012:(2,+)",
+        "012\t9\t 2\t012:(1,-);012:(2,+)",
+        "012\t9\t2\t0,1,2:(1,-);012:(2,+)",
     ],
 )
 def test_size_cache_rejects_bad_witness(tmp_path, capsys, line):

@@ -12,6 +12,8 @@ from tdcodes import (
     oracle_confusable,
     root_le3,
 )
+from tdcodes import oracle
+from tdcodes.confusability import _region_plan
 from tdcodes.oracle import _walk
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
@@ -108,10 +110,28 @@ def test_enumerate_labels_root_invariant():
         assert label.root == w("0120")
 
 
+def test_enumerate_labels_parses_its_root_once(monkeypatch):
+    # every cone word has the root's regions, so one plan serves them all
+    calls = []
+
+    def spy(r):
+        calls.append(r)
+        return _region_plan(r)
+
+    monkeypatch.setattr(oracle, "_region_plan", spy)
+    labels = enumerate_labels(w("0120"), 12)
+    assert calls == [w("0120")]
+    assert len(labels) > 1
+
+
 def test_canonical_form():
     assert canonical_form(w("102")) == (w("012"), 6)
     assert canonical_form(w("000")) == (w("000"), 3)
     assert canonical_form(w("2121")) == (w("0101"), 6)
+    assert canonical_form(bytes((3, 1, 0, 2)), q=4) == (bytes((0, 1, 2, 3)), 24)
+    assert canonical_form(w("10"), q=5) == (w("01"), 20)
+    with pytest.raises(ValueError, match="word uses 4 symbols, alphabet has 3"):
+        canonical_form(bytes((0, 1, 2, 3)), q=3)
     for word in ("0120", "2101", "111"):
         canon, _ = canonical_form(w(word))
         assert canonical_form(canon)[0] == canon
