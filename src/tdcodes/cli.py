@@ -151,6 +151,8 @@ def _run(args) -> int:
     q = args.q
     if not 1 <= q <= 256:
         raise ValueError(f"--q must be between 1 and 256 (symbols are bytes), got {q}")
+    if args.budget_states < 1:
+        raise ValueError(f"--budget-states must be at least 1, got {args.budget_states}")
     command = " ".join(filter(None, (args.command, getattr(args, "construction", None))))
     ternary = command in ("table", "bounds", "code assemble", "verify")
     if q != 3 and (ternary or command == "optimal" and not args.root):

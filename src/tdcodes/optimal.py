@@ -13,7 +13,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
 
 from .words import Word, _parse_root, _root_text
@@ -43,10 +43,11 @@ def graph_from_labels(labels: Iterable[Label]) -> LabelGraph:
     Vertices come in nonincreasing-degree order, label order on ties.
     """
     ordered = sorted(set(labels))
-    nbrs = [
-        {j for j, lj in enumerate(ordered) if i != j and not labels_confusable(li, lj)}
-        for i, li in enumerate(ordered)
-    ]
+    nbrs: list[set[int]] = [set() for _ in ordered]
+    for (i, li), (j, lj) in combinations(enumerate(ordered), 2):  # the relation is symmetric
+        if not labels_confusable(li, lj):
+            nbrs[i].add(j)
+            nbrs[j].add(i)
     order = sorted(range(len(ordered)), key=lambda v: -len(nbrs[v]))
     adjacency = tuple(sum(1 << p for p, u in enumerate(order) if u in nbrs[v]) for v in order)
     return LabelGraph(tuple(ordered[v] for v in order), adjacency)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain, count
 from math import perm
 from typing import Iterator
 
@@ -123,54 +124,38 @@ class ConeFrontier:
 
     @property
     def members(self) -> set[Word]:
-        out: set[Word] = set()
-        for words in self.by_length.values():
-            out |= words
-        return out
+        return set().union(*self.by_length.values())
 
 
-def _cone(x: Word, max_len: int, budget: int, capped: bool = False) -> dict[int, set[Word]]:
-    # the cone of x up to length max_len, by length; see _expand_cone
+def _cone(
+    x: Word, max_len: int, budget: int, spent: count, capped: bool = False
+) -> Iterator[set[Word]]:
+    # the cone of x by length, len(x)..max_len: each set is yielded once every
+    # shorter word is expanded, and expanded on resume.  Each word made, x
+    # included, counts on ``spent``, shared by the cones of one search.
+    # ``capped`` refuses the duplications that leave a run of three in a word
+    # with none: of length 1 or 2, the factor ending in a symbol equal to its
+    # left neighbour (s after s, or ss)
+    next(spent)
     by_length: dict[int, set[Word]] = {len(x): {x}}
-    total = 1
     for length in range(len(x), max_len + 1):
-        total = _expand_cone(x, by_length, length, max_len, budget, total, capped)
-    return by_length
-
-
-def _expand_cone(
-    origin: Word,
-    by_length: dict[int, set[Word]],
-    length: int,
-    max_len: int,
-    budget: int,
-    total: int,
-    capped: bool = False,
-) -> int:
-    # ``capped`` refuses the duplications that leave a run of three in a
-    # word with none: those of length 1 or 2 whose factor ends in a symbol
-    # equal to its left neighbour (s after s, or ss)
-    words = by_length.get(length)
-    if not words:
-        return total
-    for w in words:
-        top = min(3, max_len - length)
-        for k in range(1, top + 1):
-            for i in range(length - k + 1):
-                if w[i : i + k] == w[i + k : i + 2 * k]:
-                    continue  # duplicating vv again lands on a shorter route's result anyway
-                if capped and k < 3 and i + k >= 2 and w[i + k - 2] == w[i + k - 1]:
-                    continue
-                child = w[: i + k] + w[i : i + k] + w[i + k :]
+        words = by_length.pop(length, set())
+        yield words
+        for w in words:
+            for k in range(1, min(3, max_len - length) + 1):
                 bucket = by_length.setdefault(length + k, set())
-                if child not in bucket:
-                    bucket.add(child)
-                    total += 1
-                    if total > budget:
-                        raise ResourceBudgetError(
-                            f"descendant cone of {_root_text(origin)} exceeded {budget} states"
-                        )
-    return total
+                for i in range(length - k + 1):
+                    if w[i : i + k] == w[i + k : i + 2 * k]:
+                        continue  # duplicating vv again lands on a shorter route's result anyway
+                    if capped and k < 3 and i + k >= 2 and w[i + k - 2] == w[i + k - 1]:
+                        continue
+                    child = w[: i + k] + w[i : i + k] + w[i + k :]
+                    if child not in bucket:
+                        if next(spent) >= budget:
+                            raise ResourceBudgetError(
+                                f"descendant cone of {_root_text(x)} exceeded {budget} states"
+                            )
+                        bucket.add(child)
 
 
 def descendant_cone(x: Word, max_len: int, budget: int = 2_000_000) -> ConeFrontier:
@@ -182,7 +167,8 @@ def descendant_cone(x: Word, max_len: int, budget: int = 2_000_000) -> ConeFront
     check_word(x)
     if max_len < len(x):
         raise ValueError(f"max_len {max_len} below word length {len(x)}")
-    return ConeFrontier(_cone(x, max_len, budget))
+    cone = enumerate(_cone(x, max_len, budget, count()), len(x))
+    return ConeFrontier({length: words for length, words in cone if words})
 
 
 def oracle_confusable(
@@ -196,7 +182,8 @@ def oracle_confusable(
     Returns the shortest common descendant with length at most ``max_len``
     (ties broken lexicographically), or ``None`` when the truncated cones
     are disjoint.  ``None`` is conclusive only up to the bound.  The
-    default bound is the longer input plus sixteen.
+    default bound is the longer input plus sixteen.  ``budget`` bounds the
+    words generated in both cones together, ``x`` and ``y`` included.
     """
     check_word(x)
     check_word(y)
@@ -204,16 +191,17 @@ def oracle_confusable(
         max_len = max(len(x), len(y)) + 16
     if max_len < max(len(x), len(y)):
         raise ValueError(f"max_len {max_len} below longer input")
-    fx: dict[int, set[Word]] = {len(x): {x}}
-    fy: dict[int, set[Word]] = {len(y): {y}}
-    total = 2
-    for length in range(min(len(x), len(y)), max_len + 1):
-        if length in fx and length in fy:
-            common = fx[length] & fy[length]
-            if common:
-                return min(common)
-        total = _expand_cone(x, fx, length, max_len, budget, total)
-        total = _expand_cone(y, fy, length, max_len, budget, total)
+    # lockstep over lengths from the shorter input up, x's walk first; each
+    # first set expands nothing, so both inputs count before any child
+    spent = count()
+    walks = []
+    for v in (x, y):
+        walk = _cone(v, max_len, budget, spent)
+        walks.append(chain([set()] * (len(v) - min(len(x), len(y))), [next(walk)], walk))
+    for words_x, words_y in zip(*walks):
+        common = words_x & words_y
+        if common:
+            return min(common)
     return None
 
 
@@ -249,11 +237,10 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
     _check_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    by_length = _cone(r, n, budget, capped=True)
     plan = _region_plan(r)
     entries = {
         tuple(entry for entry, _, _ in _peel(w, plan, root_le3_depths(w)[1]))
-        for words in by_length.values()
+        for words in _cone(r, n, budget, count(), capped=True)
         for w in words
         if _labelled(len(w), n, w[-2:], _PAIR.search(w, 0, len(w) - 1) is not None)
     }

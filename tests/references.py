@@ -121,3 +121,19 @@ def find_confusable_pair_pairwise(code):
                 if confusable(x, y):
                     return x, y
     return None
+
+
+def graph_from_labels_pairwise(labels):
+    """``optimal.graph_from_labels`` deciding each ordered pair of labels
+    with ``labels_confusable``, both ways round."""
+    from tdcodes.confusability import labels_confusable
+    from tdcodes.optimal import LabelGraph
+
+    ordered = sorted(set(labels))
+    nbrs = [
+        {j for j, lj in enumerate(ordered) if i != j and not labels_confusable(li, lj)}
+        for i, li in enumerate(ordered)
+    ]
+    order = sorted(range(len(ordered)), key=lambda v: -len(nbrs[v]))
+    adjacency = tuple(sum(1 << p for p, u in enumerate(order) if u in nbrs[v]) for v in order)
+    return LabelGraph(tuple(ordered[v] for v in order), adjacency)

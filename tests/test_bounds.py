@@ -84,3 +84,18 @@ def test_refined_upper_bound_column():
 def test_refined_upper_bound_never_exceeds_le2_bound():
     for n in range(1, 21):
         assert refined_upper_bound(n) <= le2_upper_bound(n)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (le2_upper_bound, (0,), "length must be positive, got 0"),
+        (refined_upper_bound, (0,), "length must be positive, got 0"),
+        (irreducible_region_count, (0, 0), "need i >= 1 and m >= 0, got (0, 0)"),
+        (irreducible_region_count, (3, -1), "need i >= 1 and m >= 0, got (3, -1)"),
+    ],
+)
+def test_input_checks(function, args, message):
+    with pytest.raises(ValueError) as exc:
+        function(*args)
+    assert str(exc.value) == message

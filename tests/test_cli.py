@@ -128,6 +128,18 @@ def test_code_command_text_and_json(capsys):
         assert exc.value.code == 2
 
 
+def test_code_irr_command(capsys):
+    from tdcodes import irreducible_code, render_word
+
+    code, out, err = run(capsys, "code", "irr", "--n", "4", "--validate")
+    want = [render_word(x) for x in irreducible_code(4, 3).sorted_words()]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["4 3 39 irreducible(k<=3)", *want]
+    # the k = 2 code keeps words holding a duplicate of length 3, such as 012012
+    code, out, err = run(capsys, "code", "irr", "--n", "6", "--k", "2", "--validate")
+    assert (code, out, err) == (2, "", "invalid: 012012 ~ 012222\n")
+
+
 def test_code_command_output_bytes(capsys):
     code, out, err = run(capsys, "code", "one-region", "--root", "012", "--n", "6")
     assert (code, out, err) == (0, "6 3 2 one-region\n011222\n012012\n", "")
@@ -355,6 +367,25 @@ def test_budget_error_names_the_word_asked_for(capsys):
     assert err == "resource budget exceeded: descendant cone of 0120 exceeded 50 states\n"
 
 
+def test_oracle_budget_covers_both_cones(capsys):
+    code, out, err = run(capsys, "--budget-states", "40", "oracle", "012", "021", "--max-len", "7")
+    assert (code, out) == (3, "")
+    assert err == "resource budget exceeded: descendant cone of 021 exceeded 40 states\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--budget-states", "0", "cone", "0", "--max-len", "2"),
+        ("--budget-states", "-1", "optimal", "--root", "012", "--n", "5"),
+    ],
+)
+def test_budget_below_one_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --budget-states must be at least 1, got {argv[1]}\n"
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "cone", "01", "--max-len", "5")
     second = run(capsys, "cone", "01", "--max-len", "5")
@@ -403,6 +434,23 @@ def test_verify_fixtures_reports_mismatched_rows(monkeypatch):
         ("table.mismatches", False, "constr1@5,eq1@5,constr1@17,eq1@17"),
     ]
     assert report[4][1]
+
+
+def test_verify_command_fails_on_a_mismatched_row(monkeypatch, capsys):
+    import tdcodes.cli
+
+    fixture_lines = tdcodes.cli._fixture_lines
+
+    def corrupted(name):
+        lines = fixture_lines(name)
+        if name == "worked_examples.tsv":
+            lines = [*lines, "dup\t012\t0\t1\t012"]
+        return lines
+
+    monkeypatch.setattr(tdcodes.cli, "_fixture_lines", corrupted)
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "FAIL\tworked-examples\tdup:0012!=012"
 
 
 def test_verify_without_asserts(tmp_path):
@@ -460,11 +508,16 @@ def test_json_code_roundtrip(capsys):
 
 
 def test_readme_examples_print_their_comment(monkeypatch, capsys):
-    # the README's CLI examples whose comment is their one-line output
+    # every line of the README's CLI block runs; where its comment is one
+    # token, that token is the first line it prints
     monkeypatch.delenv("TDCODES_CACHE", raising=False)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    examples = re.findall(r"^tdcodes (.+?) +# (\S+)$", readme, re.MULTILINE)
-    assert len(examples) == 7
-    for command, output in examples:
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    examples = re.findall(r"^tdcodes ([^#\n]+?) *(?:# (.+))?$", block, re.MULTILINE)
+    assert len(examples) == 16
+    assert sum(len(comment.split()) == 1 for _, comment in examples) == 7
+    for command, comment in examples:
         code, out, err = run(capsys, *command.split())
-        assert (code, out, err) == (0, output + "\n", ""), command
+        assert (code, err) == (0, ""), command
+        if len(comment.split()) == 1:
+            assert out.splitlines()[0] == comment, command

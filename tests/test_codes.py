@@ -352,3 +352,25 @@ def test_recursion_reads_size_cache_across_relabeling_and_reversal():
         15: 6165,
         16: 9255,
     }
+
+
+@pytest.mark.parametrize(
+    "function, args, error, message",
+    [
+        (irreducible_code, (5, 1), ValueError, "k must be 2 or 3, got 1"),
+        (irreducible_code, (0, 3), ValueError, "length must be positive, got 0"),
+        (one_region_words, (w("012"), 0), ValueError, "family index must be >= 1, got 0"),
+        (one_region_words, (w("01"), 1), UnsupportedRootError, "01 is not a normalized one-region root"),
+        (one_region_code, (w("012"), 2), ValueError, "target length 2 below root length 3"),
+        (recursive_code, (w("01210"), 4), ValueError, "target length 4 below root length 5"),
+    ],
+)
+def test_input_checks(function, args, error, message):
+    with pytest.raises(error) as exc:
+        function(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pattern", ONE_REGION_PATTERNS)
+def test_one_region_size_below_the_root_is_zero(pattern):
+    assert one_region_size(pattern, len(pattern) - 1) == 0

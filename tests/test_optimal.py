@@ -68,6 +68,14 @@ def test_graph_in_degree_order_and_witness_in_label_order():
     assert max_clique(g) == (2, (labels[1], labels[3]))
 
 
+def test_graph_from_labels_matches_pairwise_reference():
+    # the graph decides each unordered pair once; the reference decides both orders
+    for n in range(1, 13):
+        for root, labels in labels_by_root(n).items():
+            expect = references.graph_from_labels_pairwise(labels)
+            assert graph_from_labels(labels) == expect, (n, root)
+
+
 def _brute_force_clique(adjacency) -> int:
     nv = len(adjacency)
     best = 1 if nv else 0

@@ -87,6 +87,19 @@ def test_oracle_confusable():
     assert oracle_confusable(w("012"), w("0112")) is not None
 
 
+def test_oracle_budget_covers_both_cones():
+    # each cone alone holds 87 words up to length 7, its origin included;
+    # the oracle counts the words of both cones against its one budget
+    for word in ("012", "021"):
+        assert len(descendant_cone(w(word), 7, budget=87).members) == 87
+        with pytest.raises(ResourceBudgetError):
+            descendant_cone(w(word), 7, budget=86)
+    with pytest.raises(ResourceBudgetError) as exc:
+        oracle_confusable(w("012"), w("021"), 7, budget=173)
+    assert str(exc.value) == "descendant cone of 021 exceeded 173 states"
+    assert oracle_confusable(w("012"), w("021"), 7, budget=174) is None
+
+
 def test_oracle_witness_is_common_descendant(rng):
     for _ in range(30):
         start = random_ternary(rng, rng.randint(1, 4))
@@ -142,3 +155,19 @@ def test_canonical_form_label_compatible(rng):
         x = random_ternary(rng, rng.randint(1, 10))
         canon, _ = canonical_form(x)
         assert compute_label(x).entries == compute_label(canon).entries
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (enumerate_irreducible, (0,), "length must be positive, got 0"),
+        (irreducible_counts, (5, 3, 4), "k must be 1..3, got 4"),
+        (descendant_cone, (w("012"), 2), "max_len 2 below word length 3"),
+        (oracle_confusable, (w("012"), w("0"), 2), "max_len 2 below longer input"),
+        (enumerate_labels, (w("012"), 2), "target length 2 below root length 3"),
+    ],
+)
+def test_input_checks(function, args, message):
+    with pytest.raises(ValueError) as exc:
+        function(*args)
+    assert str(exc.value) == message

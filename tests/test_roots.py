@@ -226,3 +226,13 @@ def test_confusable_by_roots():
     # at most 3, equal roots are necessary but not sufficient
     assert root_le3(w("012012")) == root_le3(w("011112"))
     assert not confusable(w("012012"), w("011112"))
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [(root_le3_depths, (b"",)), (root_exact_k, (b"", 1))],
+)
+def test_input_checks(function, args):
+    with pytest.raises(ValueError) as exc:
+        function(*args)
+    assert str(exc.value) == "empty word has no root"

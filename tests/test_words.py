@@ -1,6 +1,7 @@
 import pytest
 
 from tdcodes import (
+    check_word,
     is_irreducible,
     pad_tail,
     parse_word,
@@ -134,3 +135,19 @@ def test_pad_tail():
     assert pad_tail(w("01"), 2) == w("0111")
     with pytest.raises(ValueError):
         pad_tail(b"", 1)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (check_word, ("012",), "expected bytes word, got str"),
+        (check_word, (b"\x03", 3), "symbol 3 out of range for alphabet size 3"),
+        (is_irreducible, (b"\x00", 0), "duplicate length must be positive, got 0"),
+        (is_irreducible, (b"", 1), "empty word"),
+        (pad_tail, (b"\x00", -1), "negative padding -1"),
+    ],
+)
+def test_input_checks(function, args, message):
+    with pytest.raises(ValueError) as exc:
+        function(*args)
+    assert str(exc.value) == message
