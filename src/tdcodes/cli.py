@@ -1,7 +1,7 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 on success, 2 on validation errors (bad words, bad
-parameters), 3 when a search exceeds its state budget.
+parameters), 3 when a search exceeds its state budget, 141 on a closed pipe.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ def _emit(args, payload: dict | None, text_lines: Iterable[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()  # a closed pipe raises here, inside main, and not at exit
 
 
 def _run(args) -> int:
@@ -252,6 +253,8 @@ def _run(args) -> int:
             size = optimal_size(args.n, cache=cache)
             _emit(args, {"n": args.n, "size": size}, [str(size)])
     elif args.command == "table":
+        if args.n_max < 0:
+            raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
         _emit(args, None, _table_lines(args))
     elif args.command == "verify":
         report = verify_fixtures()
@@ -390,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout's reader left: exit as SIGPIPE would; flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,9 @@ constructed code can be checked against the confusability decision.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, permutations
 from math import perm
 
@@ -194,68 +196,59 @@ _PREFIX_CASES: dict[Word, tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]] 
 }
 
 
-def _size_table(cache=None):
-    # (value, shape) over canonical roots.  value(rr, nn): best known code
-    # size for rr at length nn, by the prefix recursion over the padded
-    # baseline, with closed forms for zero- and one-region roots.  Both read
-    # rr only through its region parse, which depends only on which
-    # positions of rr hold equal symbols, and the size cache is keyed by
-    # canonical root; so every root, suffix and reversal shares one memo,
-    # keyed by canonical word, which stores only the recursive branch.
-    # shape(rr) parses rr once, up to its second region: (region count
-    # capped at two, canonical tail left after the cut, case) where, with
-    # two regions, case is the (cut, options) _PREFIX_CASES keys by the
-    # first region.
-    memo: dict[tuple[Word, int], int] = {}
-    shapes: dict[Word, tuple[int, Word, tuple]] = {}
+def _size_table(n_max: int, cache=None):
+    # (row, shape) over canonical words.  row(rr): the best known code sizes
+    # for rr at lengths 0..n_max, by the prefix recursion over the padded
+    # baseline, with closed forms below two regions and each size-cache hit
+    # overriding its cell.  A row depends only on rr's length, its parse
+    # (fixed by which positions of rr hold equal symbols), its tail's row
+    # and its cache hits (keyed by canonical root), so words are looked up
+    # by canonical form and equal keys share one row; below two regions
+    # the key holds the word, whose closed form the row is.
+    shared: dict[tuple, tuple[int, ...]] = {}
+    shapes: dict[Word, tuple[int, tuple]] = {}
 
-    def shape(rr: Word) -> tuple[int, Word, tuple]:
-        got = shapes.get(rr)
+    def shape(rr: Word) -> tuple[int, tuple]:
+        # (region count capped at two, the first region's _PREFIX_CASES
+        # entry or (0, ()) below two regions), memoised by rr[:8]: _regions
+        # decides the first region from rr[:4], parses rr[:6] and tests for
+        # a second one on rr[off : off + 4] with off = len(reg) - 2 <= 4.
+        got = shapes.get(rr[:8])
         if got is None:
             regions = tuple(islice(_regions(rr), 2))
-            if len(regions) < 2:
-                got = (len(regions), b"", (0, ()))
-            else:
-                case = _PREFIX_CASES[regions[0][1].reg]
-                got = (2, canonical_form(rr[case[0] :])[0], case)
-            shapes[rr] = got
+            case = _PREFIX_CASES[regions[0][1].reg] if len(regions) == 2 else (0, ())
+            got = shapes[rr[:8]] = (len(regions), case)
         return got
 
-    def value(rr: Word, nn: int) -> int:
-        if nn < len(rr):
-            return 0
-        got = memo.get((rr, nn))
-        if got is not None:
-            return got
-        if cache is not None:
-            hit = cache.get(rr, nn)
-            if hit is not None:
-                return hit[0]
-        if nn <= len(rr) + 2:
-            return 1  # every closed form gives 1 this close to the root, too
-        m, tail, (_, options) = shape(rr)
-        if m == 0:
-            return 1
-        if m == 1:
-            return one_region_size(rr, nn)
-        best = max(2, value(rr, nn - 1))
-        for drop, prefixes in options:
-            best = max(best, len(prefixes) * value(tail, nn - drop))
-        memo[(rr, nn)] = best
-        return best
+    @lru_cache(None)
+    def row(rr: Word) -> tuple[int, ...]:
+        m, (cut, options) = shape(rr)
+        span = range(len(rr), n_max + 1)
+        hits = {} if cache is None else {nn: h[0] for nn in span if (h := cache.get(rr, nn))}
+        tail = row(canonical_form(rr[cut:])[0]) if m == 2 else rr
+        key = (len(rr), options, tail, tuple(hits.items()))
+        got = shared.get(key)
+        if got is None:
+            sizes = [0] * len(rr)
+            for nn in span:
+                if nn in hits:
+                    sizes.append(hits[nn])
+                elif nn <= len(rr) + 2 or m == 0:
+                    sizes.append(1)  # every closed form gives 1 this close to the root, too
+                elif m == 1:
+                    sizes.append(one_region_size(rr, nn))
+                else:
+                    best = (len(p) * tail[nn - d] for d, p in options if nn >= d)
+                    sizes.append(max(2, sizes[-1], *best))
+            got = shared[key] = tuple(sizes)
+        return got
 
-    return value, shape
+    return row, shape
 
 
-def _sizes(value, r: Word, n: int) -> tuple[int, int]:
-    # the values of r and of its reversal at length n (reversing every word
-    # of a code keeps it a code); shorter lengths go first, so the recursion
-    # on nn - 1 stays shallow for any n
-    fwd, rev = canonical_form(r)[0], canonical_form(r[::-1])[0]
-    sizes = (0, 0)
-    for nn in range(len(r), n + 1):
-        sizes = value(fwd, nn), value(rev, nn)
-    return sizes
+def _sizes(row, r: Word, n: int) -> tuple[int, int]:
+    # the sizes of r and of its reversal at n, from rows that reach n
+    return tuple(row(canonical_form(x)[0])[n] if n >= len(x) else 0 for x in (r, r[::-1]))
 
 
 def _check_ternary_root(r: Word) -> None:
@@ -275,44 +268,44 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
     prefix recursion, the two-word code, a padded singleton.  The reversed
     root is tried as well since reversing every word of a code preserves
     validity.  Every suffix the recursion reaches is looked up, in the
-    cache and in one memo, by its canonical relabeling, so a cached value
-    for any relabeling or reversal of a suffix root is used.
+    cache and in one row table, by its canonical relabeling, so a cached
+    value for any relabeling or reversal of a suffix root is used.
     """
     _check_ternary_root(r)
-    return max(_sizes(_size_table(cache)[0], r, n))
+    return max(_sizes(_size_table(n, cache)[0], r, n))
 
 
-def _materialize(rr: Word, nn: int, value, shape) -> set[Word]:
-    # the words behind value for rr at length nn, read off the parse shape
-    # stored for rr's canonical form (rr is a relabeling of it, so the two
-    # share their region count and case)
+def _materialize(rr: Word, nn: int, row, shape) -> set[Word]:
+    # the words behind row for rr at length nn, read off the parse shape
+    # of rr's canonical form (rr is a relabeling of it, so the two share
+    # their region count and case)
     key = canonical_form(rr)[0]
-    target = value(key, nn)
+    target = row(key)[nn]
     if target <= 1:  # zero-region roots always land here
         return {pad_tail(rr, nn - len(rr))}
-    m, tail, (cut, options) = shape(key)
+    m, (cut, options) = shape(key)
     if m == 1:
         return set(one_region_code(rr, nn).words)
     if target == 2:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
     relabel = bytes.maketrans(b"\0\1\2", rr[:3])
+    tail = row(canonical_form(rr[cut:])[0])
     for drop, prefixes in options:
-        if len(prefixes) * value(tail, nn - drop) == target:
-            inner = _materialize(rr[cut:], nn - drop, value, shape)
+        if nn >= drop and len(prefixes) * tail[nn - drop] == target:
+            inner = _materialize(rr[cut:], nn - drop, row, shape)
             return {p.translate(relabel) + w for p in prefixes for w in inner}
-    # Unreachable.  With two or more regions and nn > len(rr) + 2,
-    # value(rr, nn) = max(2, value(rr, nn - 1), options(nn)) where each
-    # option is len(prefixes) * value(tail, nn - drop).  value is
-    # nondecreasing in the length, so the options are too, and induction
-    # from value(rr, len(rr) + 2) = 1 gives value(rr, nn) = max(2,
+    # Unreachable.  With two or more regions and nn > len(rr) + 2, row[nn]
+    # = max(2, row[nn - 1], options(nn)), each option being len(prefixes)
+    # * tail[nn - drop].  Rows are nondecreasing, so the options are too,
+    # and induction from row[len(rr) + 2] = 1 gives row[nn] = max(2,
     # options(nn)): a target above 2 always equals some option.
     raise RuntimeError(f"no construction of size {target} for {_root_text(rr)} at length {nn}")
 
 
 def _recursive_words(r: Word, n: int, table) -> set[Word]:
     # the recursive construction for r or for its reversal, whichever is
-    # larger (r on ties); table is a _size_table that must not read a size
-    # cache, whose sizes come without words
+    # larger (r on ties); table is a _size_table reaching n that must not
+    # read a size cache, whose sizes come without words
     size, rev_size = _sizes(table[0], r, n)
     if rev_size > size:
         return {x[::-1] for x in _materialize(r[::-1], n, *table)}
@@ -329,7 +322,7 @@ def recursive_code(r: Word, n: int) -> Code:
     _check_ternary_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    words = _recursive_words(r, n, _size_table())
+    words = _recursive_words(r, n, _size_table(n))
     return Code(n, max(3, max(r) + 1), frozenset(words), "recursive")
 
 
@@ -372,12 +365,13 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     For each target length, sums the best available per-root code size
     over all roots that fit, working on canonical roots scaled by orbit
     size.  One enumeration pass and one size table, keyed by canonical
-    word, serve every target, root, suffix and reversal.
+    word, serve every target, root, suffix and reversal; roots of one
+    length whose rows and reversed rows agree are summed once.
     """
     targets = sorted(set(targets))
     if not targets or targets[0] < 1:
         raise ValueError("lengths must be positive")
-    value, _ = _size_table(cache)
+    row, _ = _size_table(targets[-1], cache)
     # Within two symbols of the root every region count stays 1, so all its
     # labels are confusable and both the recursive and the exact value are
     # 1: each root of length t - 2, t - 1 or t adds its orbit to target t,
@@ -385,14 +379,14 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     # irreducible ternary words of that length
     counts = irreducible_counts(targets[-1])
     totals = {t: sum(counts[max(t - 2, 0) : t + 1]) for t in targets}
-    # shorter targets get 0 from a root, so only roots three or more
-    # symbols below some target add more
+    # only roots three or more symbols below a target add more there; a
+    # canonical root's symbols are 0 .. max(root)
+    orbits: Counter[tuple] = Counter()
     for root in _iter_canonical_irreducible(targets[-1] - 3):
-        # a canonical root's symbols are 0 .. max(root)
-        orbit = perm(3, max(root) + 1)
-        rev, _ = canonical_form(root[::-1])
-        for t in targets[bisect_right(targets, len(root) + 2) :]:
-            totals[t] += orbit * max(value(root, t), value(rev, t))
+        orbits[len(root), row(root), row(canonical_form(root[::-1])[0])] += perm(3, max(root) + 1)
+    for (length, fwd, rev), orbit in orbits.items():
+        for t in targets[bisect_right(targets, length + 2) :]:
+            totals[t] += orbit * max(fwd[t], rev[t])
     return totals
 
 
@@ -404,7 +398,7 @@ def assemble_lower_bound(n: int) -> Code:
     """
     if n < 1:
         raise ValueError("lengths must be positive")
-    table = _size_table()
+    table = _size_table(n)
     words: set[Word] = set()
     for root in _iter_canonical_irreducible(n):
         best = _recursive_words(root, n, table)

@@ -60,27 +60,87 @@ def region_vector_upper_bound_bruteforce(n: int, i: int, m: int) -> int:
     return total
 
 
+def recursion_sizes(cache=None):
+    """The prefix recursion behind ``codes._size_table``, one memoised call
+    per (word, length).
+
+    Returns ``value(rr, nn)``: the best known code size for the canonical
+    word ``rr`` at length ``nn``, by the prefix recursion over the padded
+    baseline, with closed forms for zero- and one-region words and a size
+    cache hit taking precedence.  Every suffix is looked up by its
+    canonical form, in the cache and in the memo.  Each call lowers the
+    length, so the recursion is at most ``nn`` calls deep.
+    """
+    from functools import lru_cache
+    from itertools import islice
+
+    from tdcodes.codes import _PREFIX_CASES, one_region_size
+    from tdcodes.confusability import _regions
+    from tdcodes.oracle import canonical_form
+
+    @lru_cache(None)
+    def shape(rr):
+        # (region count capped at two, canonical tail left after the cut,
+        # prefix options)
+        regions = tuple(islice(_regions(rr), 2))
+        if len(regions) < 2:
+            return len(regions), b"", ()
+        cut, options = _PREFIX_CASES[regions[0][1].reg]
+        return 2, canonical_form(rr[cut:])[0], options
+
+    memo = {}
+
+    def value(rr, nn):
+        if nn < len(rr):
+            return 0
+        if (rr, nn) in memo:
+            return memo[rr, nn]
+        hit = None if cache is None else cache.get(rr, nn)
+        if hit is not None:
+            return hit[0]
+        if nn <= len(rr) + 2:
+            return 1
+        m, tail, options = shape(rr)
+        if m == 0:
+            return 1
+        if m == 1:
+            return one_region_size(rr, nn)
+        best = max(2, value(rr, nn - 1))
+        for drop, prefixes in options:
+            best = max(best, len(prefixes) * value(tail, nn - drop))
+        memo[rr, nn] = best
+        return best
+
+    return value
+
+
+def recursive_size_reference(value, r, n):
+    """``codes.recursive_size`` from a :func:`recursion_sizes` table: the
+    larger of the sizes of ``r`` and of its reversal."""
+    from tdcodes.oracle import canonical_form
+
+    return max(value(canonical_form(x)[0], n) for x in (r, r[::-1]))
+
+
 def assemble_lower_bounds_per_root(targets, cache=None) -> dict[int, int]:
     """``codes.assemble_lower_bounds`` summed root by root over every
     canonical root up to the largest target, each root adding its orbit
     at the lengths within two symbols of it and its best per-root size
-    beyond."""
+    from :func:`recursion_sizes` beyond."""
     from math import perm
 
-    from tdcodes.codes import _iter_canonical_irreducible, _size_table
-    from tdcodes.oracle import canonical_form
+    from tdcodes.codes import _iter_canonical_irreducible
 
     targets = sorted(set(targets))
-    value, _ = _size_table(cache)
+    value = recursion_sizes(cache)
     totals = {t: 0 for t in targets}
     for root in _iter_canonical_irreducible(targets[-1]):
         orbit = perm(3, max(root) + 1)
-        rev, _ = canonical_form(root[::-1])
         for t in targets:
             if len(root) <= t <= len(root) + 2:
                 totals[t] += orbit
             elif t > len(root) + 2:
-                totals[t] += orbit * max(value(root, t), value(rev, t))
+                totals[t] += orbit * recursive_size_reference(value, root, t)
     return totals
 
 

@@ -177,6 +177,8 @@ def test_table_command(capsys):
     assert lines[6].split("\t") == ["6", "111", "117", "117", "117", "117"]
     code, out, _ = run(capsys, "table", "--n-max", "0")
     assert code == 0 and out == "n\tconstr1\tlower\teq1\tprop4\toptimal\n"
+    code, out, err = run(capsys, "table", "--n-max", "-3")
+    assert (code, out, err) == (2, "", "error: --n-max must be at least 0, got -3\n")
 
 
 def test_cache_path_from_environment(tmp_path, monkeypatch, capsys):
@@ -490,6 +492,30 @@ def test_verify_without_asserts(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised"), proc.stdout
+
+
+@pytest.mark.parametrize("n", ["4", "12"])
+def test_closed_pipe_exits_quietly(n):
+    # a reader that stops early, as in `tdcodes code irr --n 12 | head -1`:
+    # nothing on stderr and the exit code of a SIGPIPE death, 128 + 13,
+    # whether the first write fails inside a print (n = 12, 16 kB) or in
+    # the flush after the last one (n = 4)
+    import tdcodes
+
+    src = Path(tdcodes.__file__).resolve().parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdcodes.cli", "code", "irr", "--n", n],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=""),
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_json_code_roundtrip(capsys):

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -24,7 +25,12 @@ from tdcodes import (
 )
 
 from conftest import w
-from references import assemble_lower_bounds_per_root, find_confusable_pair_pairwise
+from references import (
+    assemble_lower_bounds_per_root,
+    find_confusable_pair_pairwise,
+    recursion_sizes,
+    recursive_size_reference,
+)
 
 
 def test_irreducible_code_sizes():
@@ -314,6 +320,55 @@ def test_assemble_lower_bounds_equals_the_per_root_sum(targets, warm, request):
     # adding its orbit within two symbols of it
     cache = request.getfixturevalue("warm_cache") if warm else None
     assert assemble_lower_bounds(targets, cache) == assemble_lower_bounds_per_root(targets, cache)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["no-cache", "warm-cache"])
+def test_size_rows_equal_the_reference_recursion(warm, request):
+    # every canonical root up to length 14 at every length up to 24: the
+    # shared rows against one memoised call per (root, length)
+    from tdcodes.codes import _iter_canonical_irreducible, _size_table
+
+    cache = request.getfixturevalue("warm_cache") if warm else None
+    row, _ = _size_table(24, cache)
+    value = recursion_sizes(cache)
+    roots = list(_iter_canonical_irreducible(14))
+    assert len(roots) == 463
+    for root in roots:
+        assert row(root) == tuple(value(root, n) for n in range(25)), root
+
+
+@pytest.mark.parametrize(
+    "root", ["01210", "01021", "012010", "01202", "0102010", "012021", "0120102", "0120"]
+)
+def test_recursive_size_and_code_equal_the_reference_recursion(root):
+    r = w(root)
+    value = recursion_sizes()
+    for n in range(len(r), 25):
+        want = recursive_size_reference(value, r, n)
+        assert recursive_size(r, n) == want, n
+        assert len(recursive_code(r, n)) == want, n
+
+
+def test_shape_is_fixed_by_the_first_eight_symbols():
+    # the lemma behind the shape memo: for every canonical irreducible
+    # ternary word of length 9..16, parsing the word and parsing its first
+    # eight symbols give one region count (capped at two) and one case;
+    # each shape comes from a fresh table, so no memo is shared
+    from tdcodes.codes import _size_table
+    from tdcodes.oracle import _walk
+
+    words = list(_walk(9, 16, 3, 3, canonical=True))
+    assert len(words) == 954
+    for x in words:
+        assert _size_table(16)[1](x) == _size_table(16)[1](x[:8]), x
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+def test_stretch_lower_bounds_match_reference_recursion_n30():
+    targets = range(1, 31)
+    assert assemble_lower_bounds(targets) == assemble_lower_bounds_per_root(targets)
 
 
 def test_assemble_lower_bound_monotone():
