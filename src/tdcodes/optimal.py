@@ -234,7 +234,6 @@ def labels_by_root(n: int) -> dict[Word, set[Label]]:
 
     Of those it skips each ``u + ss`` with ``ss`` in ``u``: its label is
     that of ``u + s`` (the tail rule, proved at ``oracle._labelled``).
-    ``enumerate_labels`` picks the words of a root's cone by the same rule.
 
     The words are not labelled one by one.  The sweep walks their
     prefixes length by length and merges the prefixes that reach the same

@@ -1,17 +1,17 @@
 """Ground-truth machinery: enumerations, descendant cones and brute-force
-confusability, plus the label route over a root's run-capped cone.
+confusability, plus the label route over a root's run-free cone.
 
 The enumerations, ``descendant_cone`` and ``oracle_confusable`` are brute
 force and never call the region-peeling decision, so they can serve as an
-oracle for it.  ``enumerate_labels`` is not: it walks the run-capped part
-of a root's cone and peels the words it keeps with the root's region plan.
+oracle for it.  ``enumerate_labels`` is not: it walks the run-free part of
+a root's cone, peels those words with the root's region plan and derives
+the labels of the other members from theirs.
 Cone searches are bounded and budgeted: a found witness is conclusive, an
 empty intersection is only conclusive up to the explored length.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import chain, count
 from math import perm
@@ -128,26 +128,27 @@ class ConeFrontier:
 
 
 def _cone(
-    x: Word, max_len: int, budget: int, spent: count, capped: bool = False
+    x: Word, max_len: int, budget: int, spent: count, run_free: bool = False
 ) -> Iterator[set[Word]]:
     # the cone of x by length, len(x)..max_len: each set is yielded once every
     # shorter word is expanded, and expanded on resume.  Each word made, x
     # included, counts on ``spent``, shared by the cones of one search.
-    # ``capped`` refuses the duplications that leave a run of three in a word
-    # with none: of length 1 or 2, the factor ending in a symbol equal to its
-    # left neighbour (s after s, or ss)
+    # ``run_free`` makes only the duplications of length 2 or 3 whose factor
+    # does not end in its first symbol: a duplication puts the factor's last
+    # symbol next to its first and keeps every other adjacent pair, so from a
+    # word with no run ss these are the children with none
     next(spent)
     by_length: dict[int, set[Word]] = {len(x): {x}}
     for length in range(len(x), max_len + 1):
         words = by_length.pop(length, set())
         yield words
         for w in words:
-            for k in range(1, min(3, max_len - length) + 1):
+            for k in range(1 + run_free, min(3, max_len - length) + 1):
                 bucket = by_length.setdefault(length + k, set())
                 for i in range(length - k + 1):
                     if w[i : i + k] == w[i + k : i + 2 * k]:
                         continue  # duplicating vv again lands on a shorter route's result anyway
-                    if capped and k < 3 and i + k >= 2 and w[i + k - 2] == w[i + k - 1]:
+                    if run_free and w[i + k - 1] == w[i]:
                         continue
                     child = w[: i + k] + w[i : i + k] + w[i + k :]
                     if child not in bucket:
@@ -208,58 +209,87 @@ def oracle_confusable(
 def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
     """Labels of all length-``n`` descendants of the irreducible word ``r``.
 
-    The search walks only the run-capped part of the cone: the words with
-    root ``r``, length at most ``n`` and no run of three symbols.  It
-    refuses every duplication that leaves a run of three, which are a
-    length-1 duplication of a symbol next to an equal one and a length-2
-    duplication of ``ss``; a length-3 duplication of a word with no run of
-    three leaves none.  ``budget`` bounds the run-capped words generated,
-    ``r`` included.  Every run-capped member is reached, by induction
-    over a duplication path from ``r``: if ``w'`` is ``w`` with one
-    duplication, ``_cap_runs(w')`` is ``_cap_runs(w)`` or the cap of that
-    word with one duplication of the same length.  A duplication inside a
-    run only lengthens the run, which leaves the cap unchanged; any other
-    duplication copies a factor that keeps its symbols in the capped word,
-    and duplicating it there gives a word with the cap of ``w'``.  That
-    word is a child the search keeps, its own cap, or one it refuses,
-    which caps back to its parent.
+    The search walks only the run-free words of the cone, those with no
+    run ``ss``, and derives every other label from theirs.  ``budget``
+    bounds the run-free words generated, ``r`` included.  By
+    ``labels_by_root`` (points 1-4) the labels wanted are those of the
+    words ``w`` with root ``r``, no run of three and length at most ``n``
+    that have length ``n`` or hold a run ``ss``; a word descends from
+    ``r`` exactly when its root is ``r``.
 
-    ``compute_label`` labels the cap of a word (``labels_by_root``, point
-    1), so the labels of the length-``n`` members are those of their caps:
-    the run-capped members of length ``n``, and the shorter ones holding
-    ``ss``, each the cap of the word that pumps that run to length ``n``.
-    ``_labelled`` picks these out and skips the ones the tail rule shows
-    to repeat the label of a shorter one.  Those words are run-capped with
-    root ``r``, so each is peeled with one region plan of ``r``, as
-    ``compute_label`` would peel it.  ``descendant_cone`` remains the
-    brute-force search over every member.
+    A. Such a ``w`` is one run-free word ``y``, its run-collapse, with a
+       set ``P`` of its positions doubled: ``y^P``, of length ``len(y) +
+       |P|``.  ``y`` is unique and has root ``r`` (collapsing is length-1
+       deduplications); conversely every run-free ``y`` with root ``r``
+       and every ``P`` make such a word.
+    B. Every run-free ``y`` with root ``r`` and length at most ``n`` is
+       reached by the ``run_free`` walk of ``_cone``.  ``normalize_trace``
+       turns a duplication path from ``r`` to ``y`` into one of
+       nonincreasing step lengths whose steps of length 2 and 3 copy
+       pairwise-distinct symbols.  A duplication keeps every adjacent pair
+       of its input, so runs never disappear: the path has no length-1
+       step, and each word on it is run-free and no longer than ``y``.
+    C. ``label(y^P)`` has the root and counts of ``label(y)``, and region
+       i's sign is "+" exactly when some literal rotation of its triple in
+       y's window has its middle symbol outside ``P``.  The depth tables
+       and windows of the two words correspond (``_cap_runs``, points 2-3,
+       with runs collapsed to one symbol), each match of ``a b+ c`` in a
+       window of ``y^P`` is one ``abc`` in y's (``count_occurrences``),
+       and a literal triple of ``y^P`` is one of ``y`` whose middle is not
+       doubled: doubling a symbol makes no distinct triple.  Write ``M_i``
+       for those middles in y's window.  A window ends in ``a b`` and the
+       next starts at that ``a``, so the ``M_i`` are disjoint.
+    D. So a ``y`` of length ``n`` gives its own label, and one with slack
+       ``h = n - len(y) > 0`` gives its label with the signs of a kill set
+       ``K`` turned to "-", for every set ``K`` of regions with nonempty
+       ``M_i`` and ``sum(|M_i| for i in K) <= h``.  Doubling the union of
+       those ``M_i`` realises ``K``, or doubling position 0 (never a
+       middle) when ``K`` is empty; either word holds ``ss``.  Conversely
+       the kill set of ``y^P``, the regions whose nonempty ``M_i`` lies in
+       ``P``, has ``sum(|M_i|) <= |P| <= h``.  A position is the middle of
+       one triple at most, so ``|M_i|`` is the entry's count (``y`` has no
+       ``abbc``) plus two more ``bytes.count`` calls over ``_peel``'s
+       window, one per other rotation.  Kill sets are enumerated once per
+       distinct (regions, slack).
     """
     _check_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
     plan = _region_plan(r)
-    entries = {
-        tuple(entry for entry, _, _ in _peel(w, plan, root_le3_depths(w)[1]))
-        for words in _cone(r, n, budget, count(), capped=True)
-        for w in words
-        if _labelled(len(w), n, w[-2:], _PAIR.search(w, 0, len(w) - 1) is not None)
+    shapes = {
+        (
+            tuple(
+                (entry, entry[0] + y.count(rot1, start, end) + y.count(rot2, start, end))
+                for (entry, start, end), (*_, rot1, rot2, _) in zip(
+                    _peel(y, plan, root_le3_depths(y)[1]), plan
+                )
+            ),
+            n - len(y),
+        )
+        for words in _cone(r, n, budget, count(), run_free=True)
+        for y in words
     }
+    entries = set()
+    for regions, slack in shapes:
+        kills = [((), slack)]
+        for (c, sign), size in regions:
+            kills = [(e + ((c, sign),), h) for e, h in kills] + [
+                (e + ((c, "-"),), h - size) for e, h in kills if 0 < size <= h
+            ]
+        entries.update(e for e, _ in kills)
     return {Label(r, e) for e in entries}
 
 
-_PAIR = re.compile(rb"(.)\1", re.DOTALL)
-
-
 def _labelled(length: int, n: int, tail: Word, pair: bool) -> bool:
-    # whether a label route labels a word w with no run of three, length
-    # at most n, last symbols tail (two at least, when w has them) and
-    # pair telling whether w[:-1] holds a run ss: w has length n or holds
-    # a run ss (it is the cap of a length-n word), and it is not u + ss
-    # with ss in u (the tail rule).  With no run of three, w ends in ss
-    # and u holds ss exactly when w ends in ss and w[:-1] holds ss.
-    # Such a word w = u + s + s has the label of u + s, which holds ss,
-    # does not end in ss, and is a shorter member of the same route, so
-    # labelled already.  Appending s to a word x ending in s keeps its
+    # whether the label sweep (optimal.labels_by_root) labels a word w with
+    # no run of three, length at most n, last symbols tail (two at least,
+    # when w has them) and pair telling whether w[:-1] holds a run ss: w
+    # has length n or holds a run ss (it is the cap of a length-n word),
+    # and it is not u + ss with ss in u (the tail rule).  With no run of
+    # three, w ends in ss and u holds ss exactly when w ends in ss and
+    # w[:-1] holds ss.  Such a word w = u + s + s has the label of u + s,
+    # which holds ss, does not end in ss, and is a shorter word the sweep
+    # labels already.  Appending s to a word x ending in s keeps its
     # label:
     # 1. In both words every run is capped the same way but the last, and
     #    the cap of x + s is that of x or that plus one s.

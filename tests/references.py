@@ -163,6 +163,52 @@ def labels_by_root_words(n: int):
     return buckets
 
 
+def run_capped_cone(r: Word, n: int) -> set[Word]:
+    """The members of the cone of ``r`` up to length ``n`` with no run of
+    three symbols, by a walk over them alone.
+
+    Every duplication is made but those that leave a run of three.  Every
+    such member is reached, by induction over a duplication path from
+    ``r``: if ``w'`` is ``w`` with one duplication, ``_cap_runs(w')`` is
+    ``_cap_runs(w)`` or the cap of that word with one duplication of the
+    same length.  A duplication inside a run only lengthens the run, which
+    leaves the cap unchanged; any other duplication copies a factor that
+    keeps its symbols in the capped word, and duplicating it there gives a
+    word with the cap of ``w'``.  That word is a child the walk keeps, its
+    own cap, or one it refuses, which caps back to its parent.
+    """
+    words, frontier = {r}, [r]
+    while frontier:
+        x = frontier.pop()
+        for k in range(1, min(3, n - len(x)) + 1):
+            for i in range(len(x) - k + 1):
+                child = x[: i + k] + x[i : i + k] + x[i + k :]
+                if child not in words and all(
+                    not child[j] == child[j + 1] == child[j + 2] for j in range(len(child) - 2)
+                ):
+                    words.add(child)
+                    frontier.append(child)
+    return words
+
+
+def enumerate_labels_capped(r: Word, n: int):
+    """``oracle.enumerate_labels`` by labelling run-capped cone words one by one.
+
+    The words of :func:`run_capped_cone` that ``oracle._labelled`` picks
+    are those of length ``n`` and the shorter ones holding a run ``ss``,
+    each the cap of the length-``n`` word that pumps that run (points 1-4
+    of ``labels_by_root``), less those the tail rule shows to repeat a
+    shorter word's label; each is labelled with ``compute_label``.
+    """
+    from tdcodes.oracle import _labelled
+
+    return {
+        compute_label(x)
+        for x in run_capped_cone(r, n)
+        if _labelled(len(x), n, x[-2:], any(x[j] == x[j + 1] for j in range(len(x) - 2)))
+    }
+
+
 def find_confusable_pair_pairwise(code):
     """``codes.find_confusable_pair`` by deciding every pair with ``confusable``.
 

@@ -369,6 +369,14 @@ def test_budget_error_names_the_word_asked_for(capsys):
     assert err == "resource budget exceeded: descendant cone of 0120 exceeded 50 states\n"
 
 
+def test_optimal_root_budget_counts_run_free_words(capsys):
+    # a one-symbol root's walk makes the root alone, and 01210 at n = 20
+    # makes 6,019 run-free words, where the run-capped cone passed the
+    # default budget of 2,000,000
+    assert run(capsys, "--budget-states", "1", "optimal", "--root", "0", "--n", "3") == (0, "1\n", "")
+    assert run(capsys, "optimal", "--root", "01210", "--n", "20") == (0, "11\n", "")
+
+
 def test_oracle_budget_covers_both_cones(capsys):
     code, out, err = run(capsys, "--budget-states", "40", "oracle", "012", "021", "--max-len", "7")
     assert (code, out) == (3, "")

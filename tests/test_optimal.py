@@ -28,6 +28,7 @@ from tdcodes import (
     optimal_size_for_root,
     region_vector_upper_bound,
     count_regions,
+    root_le3,
     validate_code,
 )
 from tdcodes.confusability import _cap_runs
@@ -36,7 +37,7 @@ from tdcodes.oracle import _walk
 
 import references
 from conftest import iter_canonical_ternary, w
-from references import labels_by_root_words
+from references import enumerate_labels_capped, labels_by_root_words
 
 
 def test_graph_examples():
@@ -187,15 +188,41 @@ def test_optimal_size_small_lengths():
     assert optimal_size(6) == 117
 
 
-def test_labels_by_root_matches_cone_enumeration():
+def _sweep_matches_every_cone(n: int) -> None:
     # the sweep walks canonical words symbol by symbol and the cone walks
-    # each root's members by duplications, independently; both keep only
-    # words with no run of three, picked by oracle._labelled, and share the
-    # per-root region plans behind compute_label
-    buckets = labels_by_root(10)
-    assert len(buckets) == 98
+    # each root's run-free members by duplications, independently; both
+    # share the per-root region plans behind compute_label.  Every
+    # canonical root up to length n has a label set
+    buckets = labels_by_root(n)
+    assert set(buckets) == set(_walk(1, n, 3, 3, canonical=True))
     for root, labels in buckets.items():
-        assert labels == enumerate_labels(root, 10), root
+        assert enumerate_labels(root, n) == labels, root
+
+
+def test_labels_by_root_matches_cone_enumeration():
+    for n in range(1, 15):
+        _sweep_matches_every_cone(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+@pytest.mark.parametrize("n", [16, 18])
+def test_stretch_labels_by_root_matches_cone_enumeration(n):
+    _sweep_matches_every_cone(n)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+def test_stretch_labels_by_root_matches_cone_enumeration_at_n21():
+    # every 97th of the 6,765 roots and a 13-symbol root, whose slack of 8
+    # the run-capped walk could not reach
+    buckets = labels_by_root(21)
+    longest = w("0121012101210")
+    assert len(buckets[longest]) == 553
+    for root in sorted(buckets)[::97] + [longest]:
+        assert enumerate_labels(root, 21) == buckets[root], root
 
 
 def _labels_of_every_word(n: int) -> dict[bytes, set[Label]]:
@@ -309,11 +336,12 @@ def _cone_labels(cone, n: int) -> set[Label]:
 
 @pytest.mark.parametrize("root", list(_walk(1, 7, 3, 3, canonical=True)), ids=lambda r: r.hex())
 def test_enumerate_labels_equals_the_full_cone_labels(root):
-    # the run-capped cone with the tail rule against every member of the
-    # brute-force cone, for every canonical ternary root up to length 7
+    # the run-free route against every member of the brute-force cone, and
+    # against the run-capped walk it replaced, which labels the words it
+    # picks one by one, for every canonical ternary root up to length 7
     cone = descendant_cone(root, 12)
     for n in range(len(root), 13):
-        assert enumerate_labels(root, n) == _cone_labels(cone, n), n
+        assert enumerate_labels(root, n) == _cone_labels(cone, n) == enumerate_labels_capped(root, n), n
 
 
 @pytest.mark.parametrize("root, n_max", [("0123", 8), ("01023", 8), ("01230", 9)])
@@ -332,14 +360,35 @@ def test_stretch_enumerate_labels_equals_the_full_cone_labels(root):
     assert enumerate_labels(root, 13) == _cone_labels(descendant_cone(root, 13), 13)
 
 
-def test_enumerate_labels_budget_counts_run_capped_words():
-    # the budget counts the run-capped cone: the 21 members of the cone of
-    # 012 up to length 6 with no run of three
-    expect = {x for x in descendant_cone(w("012"), 6).members if _cap_runs(x) == x}
-    assert len(expect) == 21
-    assert enumerate_labels(w("012"), 6, budget=21)
-    with pytest.raises(ResourceBudgetError, match="descendant cone of 012 exceeded"):
-        enumerate_labels(w("012"), 6, budget=20)
+@pytest.mark.parametrize("q", [4, 5])
+def test_enumerate_labels_equals_the_run_capped_walk_over_more_symbols(q):
+    # every canonical root up to length 6 using all q symbols
+    for root in _walk(q, 6, q, 3, canonical=True):
+        if max(root) == q - 1:
+            for n in range(len(root), 11):
+                assert enumerate_labels(root, n) == enumerate_labels_capped(root, n), (root, n)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from((4, 5, 256)).flatmap(
+    lambda q: st.tuples(st.binary(min_size=1, max_size=30).map(lambda b: bytes(c % q for c in b)), st.integers(0, 4))
+))
+def test_enumerate_labels_equals_the_run_capped_walk_over_byte_alphabets(case):
+    # a prefix of a root is a root; up to ten symbols, slack up to four
+    x, slack = case
+    root = root_le3(x)[:10]
+    n = len(root) + slack
+    assert enumerate_labels(root, n) == enumerate_labels_capped(root, n)
+
+
+def test_enumerate_labels_budget_counts_run_free_words():
+    # the budget counts the run-free walk: the 4 members of the cone of 012
+    # up to length 6 with no run ss
+    expect = {x for x in descendant_cone(w("012"), 6).members if all(a != b for a, b in zip(x, x[1:]))}
+    assert expect == {w("012"), w("01012"), w("01212"), w("012012")}
+    assert enumerate_labels(w("012"), 6, budget=4)
+    with pytest.raises(ResourceBudgetError, match="descendant cone of 012 exceeded 3 states"):
+        enumerate_labels(w("012"), 6, budget=3)
 
 
 @pytest.mark.parametrize("m", range(1, 10))

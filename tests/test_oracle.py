@@ -1,3 +1,6 @@
+from itertools import count
+from math import comb
+
 import pytest
 
 from tdcodes import (
@@ -17,6 +20,7 @@ from tdcodes.confusability import _region_plan
 from tdcodes.oracle import _walk
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
+from references import run_capped_cone
 
 
 def test_enumerate_irreducible_small():
@@ -110,6 +114,19 @@ def test_oracle_witness_is_common_descendant(rng):
             continue
         assert witness in descendant_cone(x, len(witness)).members
         assert witness in descendant_cone(y, len(witness)).members
+
+
+@pytest.mark.parametrize("root", list(_walk(1, 7, 3, 3, canonical=True)), ids=lambda r: r.hex())
+def test_run_free_walk_makes_the_run_free_cone(root):
+    # the lemma behind enumerate_labels: the run-free walk makes exactly the
+    # cone's members with no run ss (its point B), and the run-capped
+    # members are those words with any set of positions doubled (point A)
+    cone = descendant_cone(root, 12).members
+    for n in range(len(root), 13):
+        walked = set().union(*oracle._cone(root, n, 10**9, count(), run_free=True))
+        assert walked == {x for x in cone if len(x) <= n and all(a != b for a, b in zip(x, x[1:]))}, n
+        doubled = sum(comb(len(y), j) for y in walked for j in range(n - len(y) + 1))
+        assert doubled == len(run_capped_cone(root, n)), n
 
 
 def test_enumerate_labels_examples():
