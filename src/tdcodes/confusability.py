@@ -243,10 +243,14 @@ def _region_plan(r: Word) -> _Plan:
     )
 
 
-def _peel(x: Word, plan: _Plan, last: list[int]) -> Iterator[tuple[tuple[int, str], int, int]]:
+def _peel(
+    x: Word, plan: _Plan, last: list[int], start: int = 0
+) -> Iterator[tuple[tuple[int, str], int, int]]:
     # ((count, sign), start, end) per region of the root r of a word x
     # whose runs have at most two symbols (_cap_runs), where plan is
     # _region_plan(r) and last is the depth table of x (roots.root_le3_depths).
+    # A tail of the plan with the start of its first region peels the
+    # rest of the word, as the rounds before it would.
     # x[start:end] is the longest prefix of x[start:] generated from the
     # region, and the next round starts at the last a of it.  With T =
     # r[:offset] the part of the root that earlier rounds peeled off (each
@@ -277,7 +281,6 @@ def _peel(x: Word, plan: _Plan, last: list[int]) -> Iterator[tuple[tuple[int, st
     # see count_occurrences), a search for the other two rotations only
     # when main itself does not occur, and a backward search for the last
     # a, which the prefix always holds (it ends in a b^m, see above).
-    start = 0
     for depth, main, main_bb, rot1, rot2, a in plan:
         end = last[depth]
         literal = x.count(main, start, end)

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, count
 from math import perm
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .words import Word, ResourceBudgetError, _root_text, check_word
-from .confusability import Label, _peel, _region_plan
+from .confusability import Label, _Plan, _peel, _region_plan
 from .roots import _check_root, root_le3_depths
 
 __all__ = [
@@ -35,13 +35,9 @@ __all__ = [
 def _extensions(prefix: Word, q: int, k: int) -> Iterator[int]:
     # symbols that keep the prefix free of duplicates vv with |v| <= k; only
     # duplicates ending at the new position need checking, and they reach
-    # back at most 2k - 1 symbols.  k = 0 (the label sweep's run check)
-    # refuses only a symbol equal to the last two, so the prefix keeps no
-    # run of three symbols
+    # back at most 2k - 1 symbols
     n = len(prefix)
     for s in range(q):
-        if k == 0 and n >= 2 and prefix[-1] == s == prefix[-2]:
-            continue
         if k >= 1 and n >= 1 and prefix[-1] == s:
             continue
         if k >= 2 and n >= 3 and prefix[-2] == s and prefix[-3] == prefix[-1]:
@@ -257,18 +253,37 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
         raise ValueError(f"target length {n} below root length {len(r)}")
     plan = _region_plan(r)
     shapes = {
-        (
-            tuple(
-                (entry, entry[0] + y.count(rot1, start, end) + y.count(rot2, start, end))
-                for (entry, start, end), (*_, rot1, rot2, _) in zip(
-                    _peel(y, plan, root_le3_depths(y)[1]), plan
-                )
-            ),
-            n - len(y),
-        )
+        (_sized(y, plan, root_le3_depths(y)[1])[0], n - len(y))
         for words in _cone(r, n, budget, count(), run_free=True)
         for y in words
     }
+    return _labels(r, shapes, {})
+
+
+# Per region of a run-free word: its entry and the size of its middle set
+# M_i (points C-D of enumerate_labels).  A word's shape is that tuple and
+# its slack.
+_Regions = tuple[tuple[tuple[int, str], int], ...]
+_Shape = tuple[_Regions, int]
+
+
+def _sized(
+    y: Word, plan: _Plan, last: list[int], start: int = 0
+) -> tuple[_Regions, tuple[tuple[int, int], ...]]:
+    # the regions of a run-free word y and their windows, peeled with plan
+    # from start (_peel)
+    regions, windows = [], []
+    for (entry, start, end), (_, _, _, rot1, rot2, _) in zip(_peel(y, plan, last, start), plan):
+        regions.append((entry, entry[0] + y.count(rot1, start, end) + y.count(rot2, start, end)))
+        windows.append((start, end))
+    return tuple(regions), tuple(windows)
+
+
+def _labels(r: Word, shapes: Iterable[_Shape], shared: dict) -> set[Label]:
+    # the labels of root r that run-free words of these shapes give (point
+    # D): per shape, its entries with every kill set that fits in its slack
+    # turned to "-".  Equal entry tuples are kept once in shared, which a
+    # caller labelling many roots passes to each
     entries = set()
     for regions, slack in shapes:
         kills = [((), slack)]
@@ -277,32 +292,7 @@ def enumerate_labels(r: Word, n: int, budget: int = 2_000_000) -> set[Label]:
                 (e + ((c, "-"),), h - size) for e, h in kills if 0 < size <= h
             ]
         entries.update(e for e, _ in kills)
-    return {Label(r, e) for e in entries}
-
-
-def _labelled(length: int, n: int, tail: Word, pair: bool) -> bool:
-    # whether the label sweep (optimal.labels_by_root) labels a word w with
-    # no run of three, length at most n, last symbols tail (two at least,
-    # when w has them) and pair telling whether w[:-1] holds a run ss: w
-    # has length n or holds a run ss (it is the cap of a length-n word),
-    # and it is not u + ss with ss in u (the tail rule).  With no run of
-    # three, w ends in ss and u holds ss exactly when w ends in ss and
-    # w[:-1] holds ss.  Such a word w = u + s + s has the label of u + s,
-    # which holds ss, does not end in ss, and is a shorter word the sweep
-    # labels already.  Appending s to a word x ending in s keeps its
-    # label:
-    # 1. In both words every run is capped the same way but the last, and
-    #    the cap of x + s is that of x or that plus one s.
-    # 2. The root stack's top is the symbol last read (roots._stack), so
-    #    it skips the extra s: the root is the same, and of the depth
-    #    table only the entry of the final depth moves, by one.
-    # 3. Region end depths increase, so only the last region can end at
-    #    that depth, and only its prefix grows, by the extra s.  No abc,
-    #    abbc or rotation of a distinct triple ends at it: their last two
-    #    symbols differ, and the grown prefix ends in ss.  So every count
-    #    and sign stays the same.
-    ends_in_pair = len(tail) >= 2 and tail[-1] == tail[-2]
-    return (length == n or pair or ends_in_pair) and not (pair and ends_in_pair)
+    return {Label(r, shared.setdefault(e, e)) for e in entries}
 
 
 def canonical_form(x: Word, q: int = 3) -> tuple[Word, int]:

@@ -4,7 +4,12 @@ Each one checks a library function against a direct, independent
 computation of the same thing.
 """
 
-from tdcodes.confusability import compute_label
+from bisect import bisect_left
+from functools import cache
+from itertools import permutations
+
+from tdcodes.confusability import Label, _region_plan, compute_label
+from tdcodes.roots import _stack
 
 Word = bytes
 
@@ -144,23 +149,267 @@ def assemble_lower_bounds_per_root(targets, cache=None) -> dict[int, int]:
     return totals
 
 
+def words_without_runs_of_three(n_min: int, n_max: int):
+    """The canonical ternary words of length ``n_min..n_max`` (``n_min >=
+    1``) with no run of three symbols, in lexicographic order: a preorder
+    walk that pushes each word's extensions in reverse."""
+    stack = [b""]
+    while stack:
+        x = stack.pop()
+        if len(x) >= n_min:
+            yield x
+        if len(x) < n_max:
+            symbols = range(min(max(x, default=-1) + 2, 3))
+            stack += [x + bytes((s,)) for s in reversed(symbols) if not x.endswith(bytes((s, s)))]
+
+
+def labelled(length: int, n: int, tail: Word, pair: bool) -> bool:
+    # whether the word sweeps (labels_by_root_words, labels_by_root_states,
+    # enumerate_labels_capped) label a word w with no run of three, length
+    # at most n, last symbols tail (two at least, when w has them) and pair
+    # telling whether w[:-1] holds a run ss: w has length n or holds a run
+    # ss (it is the cap of a length-n word, points 1-4 of
+    # optimal.labels_by_root), and it is not u + ss with ss in u (the tail
+    # rule).  With no run of three, w ends in ss and u holds ss exactly
+    # when w ends in ss and w[:-1] holds ss.  Such a word w = u + s + s has
+    # the label of u + s, which holds ss, does not end in ss, and is a
+    # shorter word the sweep labels already.  Appending s to a word x
+    # ending in s keeps its label:
+    # 1. In both words every run is capped the same way but the last, and
+    #    the cap of x + s is that of x or that plus one s.
+    # 2. The root stack's top is the symbol last read (roots._stack), so
+    #    it skips the extra s: the root is the same, and of the depth
+    #    table only the entry of the final depth moves, by one.
+    # 3. Region end depths increase, so only the last region can end at
+    #    that depth, and only its prefix grows, by the extra s.  No abc,
+    #    abbc or rotation of a distinct triple ends at it: their last two
+    #    symbols differ, and the grown prefix ends in ss.  So every count
+    #    and sign stays the same.
+    ends_in_pair = len(tail) >= 2 and tail[-1] == tail[-2]
+    return (length == n or pair or ends_in_pair) and not (pair and ends_in_pair)
+
+
 def labels_by_root_words(n: int):
     """``optimal.labels_by_root`` by labelling words one by one.
 
     It walks the canonical words with no run of three up to length ``n``
-    (``oracle._walk`` with ``k = 0``) and labels each word
-    ``oracle._labelled`` picks with ``compute_label``.  The proof that
-    these words give every label is in ``labels_by_root``'s docstring.
+    (:func:`words_without_runs_of_three`) and labels each word
+    :func:`labelled` picks with ``compute_label``.  These words give every
+    label by points 1-4 of ``labels_by_root``'s docstring, and capping and
+    pumping keep the order in which symbols first occur, so canonical
+    words map to canonical words.
     """
-    from tdcodes.oracle import _labelled, _walk
-
     buckets = {}
-    for w in _walk(1, n, 3, 0, canonical=True):
+    for w in words_without_runs_of_three(1, n):
         pair = any(w[i] == w[i + 1] for i in range(len(w) - 2))
-        if _labelled(len(w), n, w[-2:], pair):
+        if labelled(len(w), n, w[-2:], pair):
             label = compute_label(w)
             buckets.setdefault(label.root, set()).add(label)
     return buckets
+
+
+# The six distinct ternary triples, numbered, and for each the bit of its
+# rotation class: 012, 120 and 201 are rotations of each other, and so are
+# the other three
+TRIPLE_INDEX = {bytes(t): i for i, t in enumerate(permutations(range(3)))}
+ROTATION_BIT = tuple(1 << ((t[1] - t[0]) % 3) for t in permutations(range(3)))
+
+# A sweep record: six match counts, one per triple, and the rotation
+# classes that occur literally.  A sweep state: ((S, tail, pair), entries,
+# records), see sweep.
+START = ((b"", b"", False), (), ((0,) * 7,))
+
+
+def grow_record(record, match):
+    # the record after one more symbol s; match is -1 when no abc or abbc
+    # ends at s, else 2 * t + 1 for a literal abc of triple t and 2 * t
+    # for an abbc
+    if match < 0:
+        return record
+    t = match >> 1
+    *counts, literal = record
+    counts[t] += 1
+    if match & 1:
+        literal |= ROTATION_BIT[t]
+    return (*counts, literal)
+
+
+def labels_by_root_states(n: int):
+    """``optimal.labels_by_root`` by a sweep over merged prefix states.
+
+    It labels the words :func:`labels_by_root_words` labels, but not one by
+    one: it walks their prefixes length by length and merges the prefixes
+    that reach the same state.  Two prefixes with one state get the same
+    label after every extension, so each distinct state is extended once.
+    The state, its step and the proof are at :func:`sweep`.  It shares no
+    step with the library's run-free walk but the root stack and the
+    region plans: no kill sets, no middle sets, no ``_peel``.
+    """
+    extend = sweep(n)
+    buckets = {}
+    states = {START}
+    for length in range(1, n + 1):
+        grown = set()
+        for state in states:
+            for new, label in extend(state, length):
+                if label is not None:
+                    buckets.setdefault(new[0][0], set()).add(label)
+                if length < n:
+                    grown.add(new)
+        states = grown
+    return {root: {Label(root, e) for e in entries} for root, entries in buckets.items()}
+
+
+def sweep(n: int):
+    # the step of the state sweep to length n: extend(state, length) takes
+    # the state of a prefix x of length - 1 and yields (state of x + s,
+    # label entries of x + s or None) for each symbol s that keeps x + s
+    # canonical with no run of three, the entries when labelled picks
+    # x + s.  The memos are the function's own, region plans included.  The
+    # part of a state that the symbols alone decide, (S, tail, pair), is
+    # built once per step of it, and equal entry and record tuples are kept
+    # once: merged states share what they hold, and a finished sweep leaves
+    # nothing behind.
+    #
+    # The state of a run-capped canonical prefix x of length L, with
+    # h = n - L symbols left (_peel's notation: S is the root stack of x,
+    # last its depth table; region i ends at depth D_i and reads the
+    # window x[start_i:last[D_i]]):
+    #   S, the le-3 root stack of x, and d = len(S);
+    #   tail, the last two symbols of x, and the third last too when the
+    #     last two are equal: a b^m with m <= 2, where b is the stack's top
+    #     and a the symbol below it (the top is the symbol last read, and
+    #     the one below it the last symbol read before that run,
+    #     roots._stack), so beyond S the tail tells only whether m is 2;
+    #   pair, whether x[:-1] holds a run ss;
+    #   entries, the entries of the closed regions of S, those with
+    #     D_i < d;
+    #   records, one per closed region and one for the first open region
+    #     (the one after the closed ones, whether S holds it yet or not).
+    #     Record i summarises x[start_i:]: per distinct triple t the
+    #     number of matches of abc and abbc (t = abc, count_occurrences),
+    #     and which rotation classes occur literally (a sign asks only
+    #     whether some rotation of the region's triple does).  The record
+    #     of a closed region with D_i < d - 2h is dropped (None).
+    # The symbols x uses are those of S, and the run check needs tail.
+    #
+    # Facts:
+    # 1. Whether a region ends at depth D, and its parse, read only
+    #    S[:D + 1] (main_and_region reads one symbol past the region, and
+    #    whether the next region exists reads S[D - 2:D + 2]).  So a
+    #    stack that starts with S[:e] has the regions of S that end below
+    #    e, and no other region ending below e.
+    # 2. last[D] is the length at which the depth last rose from D, and
+    #    the stack keeps S[:D + 1] while the depth stays above D: while it
+    #    does, no symbol moves a closed region's window or parse.
+    # 3. A window ends in a b^m, m <= 2, its stack's last two symbols
+    #    (_peel), so the next window starts at that a, in the tail.
+    # 4. Each abc, abbc and literal triple of x is counted once, by the
+    #    symbol that ends it, in every record that starts at or before
+    #    its first symbol.
+    # 5. Every match that ends at a symbol starts inside every live
+    #    record.  The first record starts at 0.  A record opened when a
+    #    region closes covers the tail a b^m of the prefix (the push step
+    #    below).  An abc that ends at the next symbol starts two symbols
+    #    back and needs m = 1, an abbc starts three symbols back and needs
+    #    m = 2, so either starts at that a, and later matches start later.
+    #
+    # The step from x to x + s, with S' the stack after s and d' = len(S'):
+    # - s repeats the last symbol: S' = S, no region closes and no match
+    #   ends at s; the records stay as they are.
+    # - Push, S' = S + s: last[d] = L.  By fact 1 the only region that can
+    #   close is the first open one, when S' parses it as ending at d; its
+    #   window is then x[start:L], so its entry is read from its record
+    #   before s is added.  The next record opens at the last a of that
+    #   window, which by fact 3 is the tail a b^m itself: no triple yet.
+    # - Pop, S' = S[:d']: last[D] is unchanged below d'.  The entries and
+    #   records of regions with D >= d' go, but the record of the first of
+    #   them, now the first open region, stays: its window will end at or
+    #   after L + 1, and the record already holds x[start:].
+    # - Each record then adds the match that ends at s (facts 4 and 5).
+    # Horizon rule: a step pops at most two symbols, so with h symbols
+    # left the depth stays at or above d - 2h.  A closed region with
+    # D < d - 2h can never be open again, so its entry is final and its
+    # record is never read.  The bound d - 2h never decreases, because
+    # d' >= d - 2 and h falls by one.
+    #
+    # The label of x, read out when labelled picks it: the root is S, and
+    # the entries are those of the closed regions, plus the entry of the
+    # region ending at d, read from the first open record (its window is
+    # x[start:L], last[d] being L), if S has such a region.
+    #
+    # By induction on y, the label of x + y is a function of the state of
+    # x and of y: each step's state is a function of the state and the
+    # symbol, and each label of the state alone.  That is the merge.  The
+    # last length is not stored: each of its extensions is read out.
+
+    @cache
+    def step(S, s):
+        return _stack(S + bytes((s,)), 3)[0]
+
+    @cache
+    def regions(S):
+        # end depths and triple numbers of the regions of S, how many are
+        # closed, and whether the last one ends at len(S)
+        plan = _region_plan(S)
+        opens = bool(plan) and plan[-1][0] == len(S)
+        ends = tuple(region[0] for region in plan)
+        return ends, tuple(TRIPLE_INDEX[region[1]] for region in plan), len(plan) - opens, opens
+
+    @cache
+    def moves(word):
+        # ((S', tail', pair'), match) for each symbol s that keeps x + s
+        # canonical and free of runs of three; the match ending at s is the
+        # a b s or a b b s of a tail a b or a b b, when a b s is a distinct
+        # triple
+        S, tail, pair = word
+        pair2 = pair or len(tail) >= 2 and tail[-1] == tail[-2]
+        out = []
+        for s in range(min(max(S, default=-1) + 2, 3)):
+            if tail.endswith(bytes((s, s))):
+                continue
+            sym = bytes((s,))
+            if tail[-1:] == sym:
+                out.append(((S, tail + sym, pair2), -1))
+                continue
+            t = TRIPLE_INDEX.get(tail[:2] + sym)
+            match = -1 if t is None else 2 * t + (len(tail) == 2)
+            out.append(((step(S, s), tail[-1:] + sym, pair2), match))
+        return tuple(out)
+
+    grow = cache(grow_record)
+    shared = {}
+
+    @cache
+    def entry(record, t):
+        return record[t], "+" if record[6] & ROTATION_BIT[t] else "-"
+
+    def extend(state, length):
+        word, entries, records = state
+        reach = 2 * (n - length)
+        c = len(entries)
+        for word2, match in moves(word):
+            S2, tail2, pair2 = word2
+            ends, triples, closed, opens = regions(S2)
+            if closed > c:
+                entries2 = entries + (entry(records[c], triples[c]),)
+                # the next record holds the tail a b^m: no triple yet
+                records2 = records + ((0,) * 7,)
+            else:
+                entries2 = entries[:closed]
+                records2 = records[: closed + 1]
+            dropped = min(bisect_left(ends, len(S2) - reach), closed)
+            records2 = (None,) * dropped + tuple(grow(r, match) for r in records2[dropped:])
+            records2 = shared.setdefault(records2, records2)
+            entries2 = shared.setdefault(entries2, entries2)
+            label = None
+            if labelled(length, n, tail2, pair2):
+                label = entries2
+                if opens:
+                    label += (entry(records2[closed], triples[closed]),)
+            yield (word2, entries2, records2), label
+
+    return extend
 
 
 def run_capped_cone(r: Word, n: int) -> set[Word]:
@@ -194,18 +443,16 @@ def run_capped_cone(r: Word, n: int) -> set[Word]:
 def enumerate_labels_capped(r: Word, n: int):
     """``oracle.enumerate_labels`` by labelling run-capped cone words one by one.
 
-    The words of :func:`run_capped_cone` that ``oracle._labelled`` picks
+    The words of :func:`run_capped_cone` that :func:`labelled` picks
     are those of length ``n`` and the shorter ones holding a run ``ss``,
     each the cap of the length-``n`` word that pumps that run (points 1-4
     of ``labels_by_root``), less those the tail rule shows to repeat a
     shorter word's label; each is labelled with ``compute_label``.
     """
-    from tdcodes.oracle import _labelled
-
     return {
         compute_label(x)
         for x in run_capped_cone(r, n)
-        if _labelled(len(x), n, x[-2:], any(x[j] == x[j + 1] for j in range(len(x) - 2)))
+        if labelled(len(x), n, x[-2:], any(x[j] == x[j + 1] for j in range(len(x) - 2)))
     }
 
 

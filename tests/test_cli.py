@@ -502,6 +502,29 @@ def test_verify_without_asserts(tmp_path):
     assert proc.stdout.startswith("raised"), proc.stdout
 
 
+def test_optimal_cache_file_is_reproducible(tmp_path):
+    # two processes with different string and bytes hashes write the same
+    # cache file, one line per root in sorted root order
+    import tdcodes
+
+    src = Path(tdcodes.__file__).resolve().parent.parent
+    files = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"cache-{seed}.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdcodes.cli", "--cache", str(path), "optimal", "--n", "10"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "777\n"), proc.stderr
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+    roots = [line.split(b"\t")[0] for line in files[0].splitlines()]
+    assert roots == sorted(set(roots))
+
+
 @pytest.mark.parametrize("n", ["4", "12"])
 def test_closed_pipe_exits_quietly(n):
     # a reader that stops early, as in `tdcodes code irr --n 12 | head -1`:

@@ -31,13 +31,21 @@ from tdcodes import (
     root_le3,
     validate_code,
 )
-from tdcodes.confusability import _cap_runs
-from tdcodes.optimal import _START, SizeCache, _check_line, _max_clique_masks, _sweep
-from tdcodes.oracle import _walk
+from tdcodes.confusability import _cap_runs, _region_plan
+from tdcodes.optimal import SizeCache, _check_line, _max_clique_masks, _run_free_walk
+from tdcodes.oracle import _sized, _walk, canonical_form
+from tdcodes.roots import root_le3_depths
 
 import references
 from conftest import iter_canonical_ternary, w
-from references import enumerate_labels_capped, labels_by_root_words
+from references import (
+    START,
+    enumerate_labels_capped,
+    labels_by_root_states,
+    labels_by_root_words,
+    sweep,
+    words_without_runs_of_three,
+)
 
 
 def test_graph_examples():
@@ -188,12 +196,14 @@ def test_optimal_size_small_lengths():
     assert optimal_size(6) == 117
 
 
-def _sweep_matches_every_cone(n: int) -> None:
-    # the sweep walks canonical words symbol by symbol and the cone walks
-    # each root's run-free members by duplications, independently; both
-    # share the per-root region plans behind compute_label.  Every
-    # canonical root up to length n has a label set
+def _matches_the_state_sweep_and_every_cone(n: int) -> None:
+    # the run-free walk against the sweep over merged prefix states, which
+    # labels words it walks symbol by symbol with no kill sets, and against
+    # the cone route, which walks each root's run-free members by
+    # duplications and shares the kill sets (points C-D).  Every canonical
+    # root up to length n has a label set
     buckets = labels_by_root(n)
+    assert buckets == labels_by_root_states(n)
     assert set(buckets) == set(_walk(1, n, 3, 3, canonical=True))
     for root, labels in buckets.items():
         assert enumerate_labels(root, n) == labels, root
@@ -201,7 +211,7 @@ def _sweep_matches_every_cone(n: int) -> None:
 
 def test_labels_by_root_matches_cone_enumeration():
     for n in range(1, 15):
-        _sweep_matches_every_cone(n)
+        _matches_the_state_sweep_and_every_cone(n)
 
 
 @pytest.mark.skipif(
@@ -209,7 +219,7 @@ def test_labels_by_root_matches_cone_enumeration():
 )
 @pytest.mark.parametrize("n", [16, 18])
 def test_stretch_labels_by_root_matches_cone_enumeration(n):
-    _sweep_matches_every_cone(n)
+    _matches_the_state_sweep_and_every_cone(n)
 
 
 @pytest.mark.skipif(
@@ -217,12 +227,33 @@ def test_stretch_labels_by_root_matches_cone_enumeration(n):
 )
 def test_stretch_labels_by_root_matches_cone_enumeration_at_n21():
     # every 97th of the 6,765 roots and a 13-symbol root, whose slack of 8
-    # the run-capped walk could not reach
+    # the run-capped walk could not reach, against the state sweep and the
+    # cone route
     buckets = labels_by_root(21)
+    states = labels_by_root_states(21)
     longest = w("0121012101210")
     assert len(buckets[longest]) == 553
     for root in sorted(buckets)[::97] + [longest]:
-        assert enumerate_labels(root, 21) == buckets[root], root
+        assert states[root] == enumerate_labels(root, 21) == buckets[root], root
+
+
+@pytest.mark.parametrize("n", [1, 2, 14])
+def test_run_free_walk_carries_each_words_root_and_depth_table(n):
+    # each canonical run-free word up to length n once, with the root, the
+    # depth table and the regions a word computed from scratch has: 1 word
+    # of length 1 and 2^(L - 2) of each length L >= 2, which is all of
+    # them (after 01 each symbol is one of the two that differ from the
+    # last, and either keeps the word canonical)
+    words = []
+    for y, root, last, regions in _run_free_walk(n):
+        assert (root, last) == root_le3_depths(y), y
+        assert regions == _sized(y, _region_plan(root), last)[0], y
+        assert canonical_form(y)[0] == y and all(a != b for a, b in zip(y, y[1:])), y
+        words.append(y)
+    assert len(set(words)) == len(words)
+    lengths = [len(y) for y in words]
+    expect = [1] + [2 ** (m - 2) for m in range(2, n + 1)] + [0]
+    assert [lengths.count(m) for m in range(1, n + 2)] == expect
 
 
 def _labels_of_every_word(n: int) -> dict[bytes, set[Label]]:
@@ -280,10 +311,10 @@ def test_prefixes_with_one_sweep_state_get_the_same_labels(n):
             )
         return compute_label(x), grown
 
-    extend = _sweep(n)
-    states = {b"": _START}
+    extend = sweep(n)
+    states = {b"": START}
     groups = {}
-    for x in _walk(1, min(n, 9), 3, 0, canonical=True):
+    for x in words_without_runs_of_three(1, min(n, 9)):
         states[x] = next(state for state, _ in extend(states[x[:-1]], len(x)) if state[0][1][-1] == x[-1])
         groups.setdefault((len(x), states[x]), []).append(x)
     for first, *rest in groups.values():
@@ -393,14 +424,14 @@ def test_enumerate_labels_budget_counts_run_free_words():
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_walk_k0_yields_canonical_words_without_runs_of_three(m):
-    walked = list(_walk(1, m, 3, 0, canonical=True))
+    # the walk behind the references' word sweep, in order
+    walked = list(words_without_runs_of_three(1, m))
     expect = {
         x
         for x in iter_canonical_ternary(1, m)
         if not any(x[i] == x[i + 1] == x[i + 2] for i in range(len(x) - 2))
     }
-    assert len(walked) == len(set(walked))
-    assert set(walked) == expect
+    assert walked == sorted(expect)
 
 
 @pytest.mark.parametrize(
