@@ -291,12 +291,13 @@ def _build_code(args, q):
 
 def _bound_rows(n_max: int) -> Iterator[tuple[int, int, int, int]]:
     # (n, constr1, eq1, prop4) for n = 1..n_max: the cumulative irreducible
-    # count, the refined upper bound and the le-2 upper bound
-    counts = irreducible_counts(n_max, 3, 3)
-    constr1 = 0
+    # count, the refined upper bound and the le-2 upper bound, which is the
+    # cumulative count of words with no square of length <= 2
+    counts, le2_counts = irreducible_counts(n_max, 3, 3), irreducible_counts(n_max, 3, 2)
+    constr1 = prop4 = 0
     for n in range(1, n_max + 1):
-        constr1 += counts[n]
-        yield n, constr1, refined_upper_bound(n), le2_upper_bound(n)
+        constr1, prop4 = constr1 + counts[n], prop4 + le2_counts[n]
+        yield n, constr1, refined_upper_bound(n), prop4
 
 
 def _table_lines(args) -> Iterator[str]:

@@ -196,6 +196,20 @@ _PREFIX_CASES: dict[Word, tuple[int, tuple[tuple[int, tuple[Word, ...]], ...]]] 
 }
 
 
+# The first-occurrence relabeling of an irreducible word over 0, 1, 2 is fixed
+# by its first two symbols, which differ (by its one symbol if it has one); the
+# recursion relabels only such words: canonical roots, reversals, suffixes.
+_CANON = {
+    bytes(p[:m]): bytes.maketrans(bytes(p), b"\0\1\2")
+    for p in permutations(range(3))
+    for m in (1, 2)
+}
+
+
+def _canon(x: Word) -> Word:
+    return x.translate(_CANON[x[:2]])
+
+
 def _size_table(n_max: int, cache=None):
     # (row, shape) over canonical words.  row(rr): the best known code sizes
     # for rr at lengths 0..n_max, by the prefix recursion over the padded
@@ -225,7 +239,7 @@ def _size_table(n_max: int, cache=None):
         m, (cut, options) = shape(rr)
         span = range(len(rr), n_max + 1)
         hits = {} if cache is None else {nn: h[0] for nn in span if (h := cache.get(rr, nn))}
-        tail = row(canonical_form(rr[cut:])[0]) if m == 2 else rr
+        tail = row(_canon(rr[cut:])) if m == 2 else rr
         key = (len(rr), options, tail, tuple(hits.items()))
         got = shared.get(key)
         if got is None:
@@ -247,8 +261,8 @@ def _size_table(n_max: int, cache=None):
 
 
 def _sizes(row, r: Word, n: int) -> tuple[int, int]:
-    # the sizes of r and of its reversal at n, from rows that reach n
-    return tuple(row(canonical_form(x)[0])[n] if n >= len(x) else 0 for x in (r, r[::-1]))
+    # the sizes of r (over 0, 1, 2) and of its reversal at n, from rows that reach n
+    return tuple(row(_canon(x))[n] if n >= len(x) else 0 for x in (r, r[::-1]))
 
 
 def _check_ternary_root(r: Word) -> None:
@@ -272,14 +286,14 @@ def recursive_size(r: Word, n: int, cache=None) -> int:
     value for any relabeling or reversal of a suffix root is used.
     """
     _check_ternary_root(r)
-    return max(_sizes(_size_table(n, cache)[0], r, n))
+    return max(_sizes(_size_table(n, cache)[0], canonical_form(r)[0], n))
 
 
 def _materialize(rr: Word, nn: int, row, shape) -> set[Word]:
-    # the words behind row for rr at length nn, read off the parse shape
-    # of rr's canonical form (rr is a relabeling of it, so the two share
-    # their region count and case)
-    key = canonical_form(rr)[0]
+    # the words behind row for rr (over 0, 1, 2) at length nn, read off the
+    # parse shape of rr's canonical form (rr is a relabeling of it, so the
+    # two share their region count and case)
+    key = _canon(rr)
     target = row(key)[nn]
     if target <= 1:  # zero-region roots always land here
         return {pad_tail(rr, nn - len(rr))}
@@ -289,7 +303,7 @@ def _materialize(rr: Word, nn: int, row, shape) -> set[Word]:
     if target == 2:
         return {pad_tail(w, nn - len(w)) for w in pair_code(rr).words}
     relabel = bytes.maketrans(b"\0\1\2", rr[:3])
-    tail = row(canonical_form(rr[cut:])[0])
+    tail = row(_canon(rr[cut:]))
     for drop, prefixes in options:
         if nn >= drop and len(prefixes) * tail[nn - drop] == target:
             inner = _materialize(rr[cut:], nn - drop, row, shape)
@@ -303,9 +317,9 @@ def _materialize(rr: Word, nn: int, row, shape) -> set[Word]:
 
 
 def _recursive_words(r: Word, n: int, table) -> set[Word]:
-    # the recursive construction for r or for its reversal, whichever is
-    # larger (r on ties); table is a _size_table reaching n that must not
-    # read a size cache, whose sizes come without words
+    # the recursive construction for r (over 0, 1, 2) or for its reversal,
+    # whichever is larger (r on ties); table is a _size_table reaching n
+    # that must not read a size cache, whose sizes come without words
     size, rev_size = _sizes(table[0], r, n)
     if rev_size > size:
         return {x[::-1] for x in _materialize(r[::-1], n, *table)}
@@ -322,7 +336,9 @@ def recursive_code(r: Word, n: int) -> Code:
     _check_ternary_root(r)
     if n < len(r):
         raise ValueError(f"target length {n} below root length {len(r)}")
-    words = _recursive_words(r, n, _size_table(n))
+    canon = canonical_form(r)[0]  # the code is built over 0, 1, 2 and mapped back
+    back = bytes.maketrans(canon, r)
+    words = {x.translate(back) for x in _recursive_words(canon, n, _size_table(n))}
     return Code(n, max(3, max(r) + 1), frozenset(words), "recursive")
 
 
@@ -381,12 +397,13 @@ def assemble_lower_bounds(targets, cache=None) -> dict[int, int]:
     totals = {t: sum(counts[max(t - 2, 0) : t + 1]) for t in targets}
     # only roots three or more symbols below a target add more there; a
     # canonical root's symbols are 0 .. max(root)
-    orbits: Counter[tuple] = Counter()
-    for root in _iter_canonical_irreducible(targets[-1] - 3):
-        orbits[len(root), row(root), row(canonical_form(root[::-1])[0])] += perm(3, max(root) + 1)
-    for (length, fwd, rev), orbit in orbits.items():
+    roots = Counter(
+        (len(root), max(root), row(root), row(_canon(root[::-1])))
+        for root in _iter_canonical_irreducible(targets[-1] - 3)
+    )
+    for (length, top, fwd, rev), count in roots.items():
         for t in targets[bisect_right(targets, length + 2) :]:
-            totals[t] += orbit * max(fwd[t], rev[t])
+            totals[t] += count * perm(3, top + 1) * max(fwd[t], rev[t])
     return totals
 
 

@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
+from math import perm
 from typing import Callable, Iterable, Iterator
 
 from .words import Word, _parse_root, _root_text
@@ -301,6 +302,6 @@ def optimal_size(n: int, cache: SizeCache | None = None) -> int:
     """
     total = 0
     for root, labels in sorted(labels_by_root(n).items()):
-        _, orbit = canonical_form(root)
-        total += orbit * _root_optimum(root, n, cache, lambda: labels)
+        # a canonical root's symbols are 0 .. max(root)
+        total += perm(3, max(root) + 1) * _root_optimum(root, n, cache, lambda: labels)
     return total

@@ -56,18 +56,25 @@ def _extensions(prefix: Word, q: int, k: int) -> Iterator[int]:
 def _walk(n_min: int, n_max: int, q: int, k: int, canonical: bool = False) -> Iterator[Word]:
     # depth-first over the words _extensions admits symbol by symbol, each
     # yielded before its extensions once its length reaches n_min (>= 1),
-    # smaller siblings first: the stack holds (word, symbols used) and gets
-    # each word's extensions pushed in reverse.  ``canonical`` keeps only
-    # words whose symbols first occur in the order 0, 1, 2, ..., one per
-    # relabeling orbit
-    stack = [(b"", 0)]
+    # smaller siblings first: the stack holds (word, state) and gets each
+    # word's extensions pushed in reverse.  ``canonical`` keeps only words
+    # whose symbols first occur in the order 0, 1, 2, ..., one per
+    # relabeling orbit.  The state (last 2k - 1 symbols, symbols used or q)
+    # fixes the extensions, so each state's moves are made once per call
+    keep, moves = max(2 * k - 1, 1), {}
+    stack = [(b"", (b"", 0 if canonical else q))]
     while stack:
-        word, used = stack.pop()
+        word, state = stack.pop()
         if len(word) >= n_min:
             yield word
         if len(word) < n_max:
-            grown = _extensions(word, min(used + 1, q) if canonical else q, k)
-            stack += [(word + bytes((s,)), max(used, s + 1)) for s in reversed([*grown])]
+            if state not in moves:
+                tail, used = state
+                moves[state] = [
+                    (bytes((s,)), ((tail + bytes((s,)))[-keep:], max(used, s + 1)))
+                    for s in reversed([*_extensions(tail, min(used + 1, q), k)])
+                ]
+            stack += [(word + s, after) for s, after in moves[state]]
 
 
 def _check_alphabet(q: int, k: int) -> None:

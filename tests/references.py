@@ -149,6 +149,27 @@ def assemble_lower_bounds_per_root(targets, cache=None) -> dict[int, int]:
     return totals
 
 
+def walk_per_node(n_min: int, n_max: int, q: int, k: int, canonical: bool = False):
+    """``oracle._walk`` asking ``oracle._extensions`` at every word.
+
+    A preorder walk over the words of length ``n_min..n_max`` (``n_min >=
+    1``) that ``_extensions`` admits symbol by symbol, pushing each word's
+    extensions in reverse; with ``canonical`` a word's extensions are
+    bounded by one more than the symbols it uses.  ``_walk`` looks the
+    extensions up by the word's last ``2k - 1`` symbols instead.
+    """
+    from tdcodes.oracle import _extensions
+
+    stack = [(b"", 0)]
+    while stack:
+        word, used = stack.pop()
+        if len(word) >= n_min:
+            yield word
+        if len(word) < n_max:
+            grown = _extensions(word, min(used + 1, q) if canonical else q, k)
+            stack += [(word + bytes((s,)), max(used, s + 1)) for s in reversed([*grown])]
+
+
 def words_without_runs_of_three(n_min: int, n_max: int):
     """The canonical ternary words of length ``n_min..n_max`` (``n_min >=
     1``) with no run of three symbols, in lexicographic order: a preorder

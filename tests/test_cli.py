@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from tdcodes.cli import main, verify_fixtures
+from tdcodes import le2_upper_bound
+from tdcodes.cli import _bound_rows, main, verify_fixtures
 from tdcodes.optimal import SizeCache
 
 
@@ -146,6 +147,11 @@ def test_code_command_output_bytes(capsys):
     code, out, err = run(capsys, "--format", "json", "code", "one-region", "--root", "012", "--n", "6")
     want = '{"n": 6, "q": 3, "size": 2, "provenance": "one-region", "words": ["011222", "012012"]}\n'
     assert (code, out, err) == (0, want, "")
+
+
+def test_bound_rows_le2_column_is_the_le2_upper_bound():
+    # the running sum of one count vector against a fresh count per row
+    assert [row[3] for row in _bound_rows(30)] == [le2_upper_bound(n) for n in range(1, 31)]
 
 
 def test_bounds_and_optimal_commands(capsys):

@@ -349,6 +349,20 @@ def test_recursive_size_and_code_equal_the_reference_recursion(root):
         assert len(recursive_code(r, n)) == want, n
 
 
+def test_relabel_by_the_first_two_symbols_is_the_canonical_form():
+    # every word the prefix recursion relabels: each canonical root up to
+    # length 14, its reversal and every suffix of either
+    from tdcodes import canonical_form
+    from tdcodes.codes import _canon, _iter_canonical_irreducible
+
+    roots = list(_iter_canonical_irreducible(14))
+    assert len(roots) == 463
+    for root in roots:
+        for x in (root, root[::-1]):
+            for i in range(len(x)):
+                assert _canon(x[i:]) == canonical_form(x[i:])[0], (root, x, i)
+
+
 def test_shape_is_fixed_by_the_first_eight_symbols():
     # the lemma behind the shape memo: for every canonical irreducible
     # ternary word of length 9..16, parsing the word and parsing its first
@@ -369,6 +383,17 @@ def test_shape_is_fixed_by_the_first_eight_symbols():
 def test_stretch_lower_bounds_match_reference_recursion_n30():
     targets = range(1, 31)
     assert assemble_lower_bounds(targets) == assemble_lower_bounds_per_root(targets)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TDCODES_STRETCH"), reason="stretch lengths; set TDCODES_STRETCH=1"
+)
+def test_stretch_lower_bounds_past_n24():
+    # the table's lower column for n = 25..30 with no size cache
+    lower = assemble_lower_bounds(range(1, 31))
+    assert [lower[n] for n in range(25, 31)] == [
+        314865, 464439, 684777, 1009113, 1486143, 2186955,
+    ]
 
 
 def test_assemble_lower_bound_monotone():

@@ -1,4 +1,5 @@
-from itertools import count
+from collections import Counter
+from itertools import count, zip_longest
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from tdcodes.confusability import _region_plan
 from tdcodes.oracle import _walk
 
 from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
-from references import run_capped_cone
+from references import run_capped_cone, walk_per_node
 
 
 def test_enumerate_irreducible_small():
@@ -47,6 +48,20 @@ def test_walk_yields_each_word_once_in_sorted_order(n_min, canonical):
         for q in range(2, 5):
             words = list(_walk(n_min, 8, q, k, canonical))
             assert words == sorted(set(words)), (k, q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_walk_equals_the_per_node_walk(q, k):
+    # the same words in the same order as a walk that asks _extensions at
+    # every word, and the irreducible counts are the walked counts
+    for canonical in (False, True):
+        lengths = Counter()
+        for got, want in zip_longest(_walk(1, 10, q, k, canonical), walk_per_node(1, 10, q, k, canonical)):
+            assert got == want, (canonical, got, want)
+            lengths[len(got)] += 1
+        if not canonical:
+            assert irreducible_counts(10, q, k) == [0] + [lengths[n] for n in range(1, 11)]
 
 
 def test_irreducible_counts_match_enumeration():
