@@ -5,16 +5,20 @@ and exactly one root under deduplications of length at most k for k in
 {1, 2, 3}.  Because the root is unique, any maximal removal order reaches
 it; the implementations here consume the word left to right and keep the
 root of the consumed prefix on a stack.  On long words the le-3 depth
-table first drops the inner copies of every run of three or more equal
-aligned triples with C-level byte operations, so the stack reads at most
-ten symbols of a pumped period-3 factor, whatever its length.
+table first shortens the word, where that pays, with C-level integer and
+byte operations: it collapses every run ss to s, then drops the inner
+copies of every run of three or more equal aligned pairs, then of
+triples.  Each step is a chain of deduplications that leaves the root
+and the depth table unchanged, so the table is mapped back through each
+step.  On a word grown from a short root by duplications and run-capped,
+the stack then reads about one symbol in a hundred, or fewer.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, pairwise
 
-from .words import _EQ, Word, _delete, _equal_next, _free_byte, _root_text, check_word
+from .words import Word, _delete, _equal_next, _free_byte, _root_text, check_word
 
 __all__ = [
     "root_le_k",
@@ -41,42 +45,116 @@ def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
     """
     if len(x) == 0:
         raise ValueError("empty word has no root")
-    if len(x) < _TRIPLE_FLOOR:
+    if len(x) < _PREPASS_FLOOR:
         return _stack(x, 3)
-    return _stack_triples(x)
+    return _prepass_stack(x)
 
 
-# Words shorter than this go straight to the stack.  Finding the repeated
-# blocks costs about 5 us per call plus 8 ns per symbol, a twentieth of the
-# stack's cost per symbol, whatever it drops.  On descendants of short
-# roots grown by duplications and run-capped, the pre-pass broke even
-# between 768 and 1,024 symbols (2-vCPU Xeon, Python 3.11); below the
-# floor fall the label sweep's and the cone's words, of at most a few
-# dozen symbols.
-_TRIPLE_FLOOR = 1024
+# Words shorter than this go straight to the stack.  On descendants of
+# short roots grown by duplications and run-capped, the pre-pass costs
+# about 35 us per call plus 40 ns per symbol and broke even between 512
+# and 768 symbols (2-vCPU Xeon, Python 3.11).  Below the floor fall the
+# label sweep's and the cone's words, of at most a few dozen symbols, and
+# the benchmark's descendants of 1,000-symbol roots, where no step would
+# run.
+_PREPASS_FLOOR = 1024
+
+# The collapse runs only when more than one symbol in _COLLAPSE_SHARE is
+# doubled, and a block drop only when it drops more than one block in
+# _DROP_SHARE.  A step that runs costs some C-level passes over the word
+# and a Python step per table entry to map back, which is more than the
+# stack saves on run-capped random words and irreducible words with one
+# symbol in eight or fewer doubled, and on a single dropped block of a
+# long root's descendant.  On grown descendants of short roots the
+# collapse removes a sixth to a third of the symbols and each drop most
+# of the rest; on descendants of long roots the triple drop removes 2-3%.
+_COLLAPSE_SHARE = 8
+_DROP_SHARE = 128
+
+# The collapse is kept only when the stack then reads at most one symbol
+# in _STACK_SHARE of the word.  Mapping a table entry back through it
+# costs about four stack steps, and the table has at most one entry more
+# than the symbols the stack reads, so the kept path costs at most about
+# what the stack over the whole word would.
+_STACK_SHARE = 5
 
 
-def _stack_triples(y: Word) -> tuple[Word, list[int]]:
-    # _stack(y, 3) after dropping repeated aligned triples.  Cut y into
-    # aligned blocks y[3k:3k + 3]; in every run of three or more equal
-    # blocks keep the first and the last and drop the inner ones, then run
-    # the stack on what is left, z, and map its depth table back.
+def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
+    # _stack(c, 3) after C-level steps that shorten c and leave the root
+    # and the depth table unchanged: collapse c to its run-free word u,
+    # drop repeated aligned pairs and then triples of u (_drop_blocks),
+    # run the stack, and map its depth table back through each step.  When
+    # the collapse does not apply or is not kept, only the triples of c
+    # are dropped.
     #
-    # Block k equals block k + 1 exactly when the phase slices y[i::3] all
-    # have equal symbols at k and k + 1, so the AND e of their three
+    # The collapse deletes the second symbol of every ss.  It applies when
+    # c has no run of three, so that e, the mask of the symbols equal to
+    # their right neighbour (words._equal_next), never has two adjacent
+    # bytes set.
+    # (a) Each deleted symbol is a length-1 duplicate, so u has the root
+    #     of c.
+    # (b) The stack skips every symbol equal to its top, and only those
+    #     (_stack); its top is the symbol read last, so on c it skips
+    #     exactly the deleted symbols and makes the moves it makes on u,
+    #     in the same order.  Write phi(j) for the position in c of u[j],
+    #     and phi(len(u)) = len(c).  Every assignment to last reads i =
+    #     phi(j) on c where it reads j on u, so last_c[d] = phi(last_u[d])
+    #     for every depth d.
+    # (c) Byte j of e + 2 * (e << 8) is 1 when c[j] is the first symbol of
+    #     an ss, 2 when it is the second and 0 otherwise.  Deleting the 2
+    #     bytes leaves mask, whose byte j is 1 exactly when c doubles u[j],
+    #     so phi(j) = j + mask.count(1, 0, j); for j = len(u) this counts
+    #     every deleted symbol and gives len(c).  The table is mapped in
+    #     increasing order of its entries, one count per gap between them.
+    n = len(c)
+    a = int.from_bytes(c, "little")
+    e = _equal_next(a, n)
+    collapse = not e & (e >> 8) and _COLLAPSE_SHARE * e.bit_count() > n
+    if collapse:
+        u = _delete(c, a, e << 8, _free_byte(c))
+        mask = (e + 2 * (e << 8)).to_bytes(n, "little").translate(None, b"\x02")
+    del a, e  # word-sized: freed before the drops
+    if collapse:
+        z, maps = _drop_blocks(u, (2, 3))
+        collapse = _STACK_SHARE * len(z) <= n
+    if not collapse:
+        z, maps = _drop_blocks(c, (3,))
+    r, last = _stack(z, 3)
+    for p, starts in reversed(maps):
+        last = [p * starts[j // p] + j % p for j in last]
+    if collapse:
+        ends = sorted(set(last))
+        rank = dict(zip(ends, accumulate(mask.count(1, i, j) for i, j in pairwise([0, *ends]))))
+        last = [j + rank[j] for j in last]
+    return r, last
+
+
+def _drop_blocks(y: Word, periods: tuple[int, ...]) -> tuple[Word, list[tuple[int, list[int]]]]:
+    # y after, for each p in periods in turn, dropping the inner blocks of
+    # every run of three or more equal aligned p-blocks y[p*k:p*k + p]
+    # (the first and the last block of each run are kept) when they are
+    # more than one block in _DROP_SHARE; and, per p that dropped blocks,
+    # (p, starts) with starts[k] the index among the step's input blocks
+    # of its k-th kept block, and one more entry, the number of blocks,
+    # so that p * starts[j // p] + j % p maps every position j of the
+    # step's output, its end included, to its position in the input.
+    #
+    # Block k equals block k + 1 exactly when the phase slices y[i::p] all
+    # have equal symbols at k and k + 1, so the AND e of their p
     # equal-neighbour masks (words._equal_next) marks the blocks equal to
     # the next one, and e & (e << 8) the inner blocks of each run.
     #
-    # This leaves the root and the depth table unchanged.  Write phi(j) for
-    # the position in y of the j-th symbol of z, and phi(len(z)) = len(y).
+    # Dropping leaves the root and the depth table of the stack unchanged.
+    # Write z for what is left, phi(j) for the position in y of the j-th
+    # symbol of z, and phi(len(z)) = len(y).
     # (a) Each dropped block is followed by an equal block, so dropping it
-    #     is a length-3 deduplication and z has the root of y.
-    # (b) If y[j - 3:j] == y[j:j + 3], then y[:j + 3] deduplicates to
-    #     y[:j], and the stack after j + 3 symbols, the root of that
+    #     is a length-p deduplication and z has the root of y.
+    # (b) If y[j - p:j] == y[j:j + p], then y[:j + p] deduplicates to
+    #     y[:j], and the stack after j + p symbols, the root of that
     #     prefix, equals the stack after j.  Inside a run of equal blocks
-    #     y[3s:3t + 3] this holds for every j with 3s + 3 <= j <= 3t, so
+    #     y[ps:pt + p] this holds for every j with ps + p <= j <= pt, so
     #     each prefix length that ends inside a dropped block has the stack
-    #     of a prefix length three symbols later, and in the end that of a
+    #     of a prefix length p symbols later, and in the end that of a
     #     length ending in the kept last block t.
     # (c) last[d] is the largest prefix length whose stack has depth d, so
     #     by (b) it is never a length that ends inside a dropped block, and
@@ -85,23 +163,31 @@ def _stack_triples(y: Word) -> tuple[Word, list[int]]:
     #     dropped block of it deleted as the second copy of the block
     #     before it, so both prefixes have one root.  phi is increasing,
     #     hence last_y[d] = phi(last_z[d]) for every depth d.
-    nb = len(y) // 3
-    phases = [y[i : 3 * nb : 3] for i in range(3)]
-    ints = [int.from_bytes(p, "little") for p in phases]
-    e = _equal_next(ints[0], nb) & _equal_next(ints[1], nb) & _equal_next(ints[2], nb)
-    drop = e & (e << 8)
-    if not drop:
-        return _stack(y, 3)
-    c = _free_byte(y)
-    kept = 3 * (nb - drop.bit_count())
-    z = bytearray(kept)
-    for i in range(3):
-        z[i::3] = _delete(phases[i], ints[i], drop, c)
-    z += y[3 * nb :]
-    r, last = _stack(z, 3)
-    starts = list(compress(range(0, 3 * nb, 3), drop.to_bytes(nb, "little").translate(_EQ)))
-    shift = len(y) - len(z)
-    return r, [starts[j // 3] + j % 3 if j < kept else j + shift for j in last]
+    maps = []
+    for p in periods:
+        nb = len(y) // p
+        phases = [y[i : p * nb : p] for i in range(p)]
+        ints = [int.from_bytes(phase, "little") for phase in phases]
+        e = _equal_next(ints[0], nb)
+        for a in ints[1:]:
+            e &= _equal_next(a, nb)
+        drop = e & (e << 8)
+        dropped = drop.bit_count()
+        if _DROP_SHARE * dropped <= nb:
+            continue
+        c = _free_byte(y)
+        z = bytearray(p * (nb - dropped))
+        for i in range(p):
+            z[i::p] = _delete(phases[i], ints[i], drop, c)
+        z += y[p * nb :]
+        # in the block mask (1 dropped, 0 kept) write each 0 as 0 1 and cut
+        # at the 0s: piece k > 0 is the 1 after kept block k - 1 and the
+        # blocks dropped after it, so the lengths of pieces 0..k sum to the
+        # index of kept block k, and all of them to nb
+        pieces = drop.to_bytes(nb, "little").replace(b"\0", b"\0\1").split(b"\0")
+        maps.append((p, list(accumulate(map(len, pieces)))))
+        y = z
+    return y, maps
 
 
 def _stack(x: Word, k: int) -> tuple[Word, list[int]]:

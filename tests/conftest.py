@@ -30,6 +30,34 @@ def random_descendant_steps(rng: random.Random, start: bytes, steps: int):
     return out, word
 
 
+def batched_descendant(rng: random.Random, root: bytes, target: int) -> bytes:
+    """A descendant of ``root`` with ``target`` symbols, grown in rounds.
+
+    Each round duplicates a factor of length 1-3 at up to an eighth of the
+    positions, left to right and not overlapping.
+    """
+    word = bytearray(root)
+    while len(word) < target:
+        batch = max(8, len(word) // 8)
+        positions = sorted(rng.sample(range(len(word)), min(batch, len(word))))
+        pieces = []
+        prev = 0
+        grown = 0
+        for i in positions:
+            if i < prev or len(word) + grown >= target:
+                continue
+            k = min(rng.randint(1, 3), len(word) - i, target - len(word) - grown)
+            if k <= 0:
+                continue
+            pieces.append(word[prev : i + k])
+            pieces.append(word[i : i + k])
+            prev = i + k
+            grown += k
+        pieces.append(word[prev:])
+        word = bytearray(b"".join(pieces))
+    return bytes(word)
+
+
 def iter_ternary_words(n_min: int, n_max: int):
     from itertools import product
 

@@ -13,7 +13,7 @@ import tdcodes as td
 from tdcodes.confusability import _cap_runs, _peel, _region_plan
 from tdcodes.roots import root_le3_depths
 
-from conftest import w
+from conftest import batched_descendant, w
 from references import region_vector_upper_bound_bruteforce, remove_duplicates_pass
 
 CONSTR1 = [
@@ -427,29 +427,6 @@ def test_criterion_7_construction_validity():
     )
 
 
-def _batched_descendant(rng: random.Random, root: bytes, target: int) -> bytes:
-    word = bytearray(root)
-    while len(word) < target:
-        batch = max(8, len(word) // 8)
-        positions = sorted(rng.sample(range(len(word)), min(batch, len(word))))
-        pieces = []
-        prev = 0
-        grown = 0
-        for i in positions:
-            if i < prev or len(word) + grown >= target:
-                continue
-            k = min(rng.randint(1, 3), len(word) - i, target - len(word) - grown)
-            if k <= 0:
-                continue
-            pieces.append(word[prev : i + k])
-            pieces.append(word[i : i + k])
-            prev = i + k
-            grown += k
-        pieces.append(word[prev:])
-        word = bytearray(b"".join(pieces))
-    return bytes(word)
-
-
 def _spy_symbols(monkeypatch, totals: list) -> None:
     # wrap the run-capping, root-stack, scan and peeling functions the
     # decision calls, under every name that refers to them in any tdcodes
@@ -500,8 +477,8 @@ def _long_root_symbol_ratios(monkeypatch) -> list[tuple[int, float]]:
             root = td.root_le3(bytes(rng.randrange(3) for _ in range(4 * length + 20)))[:length]
             if len(root) == length:
                 break
-        a = _batched_descendant(rng, root, 2 * length)
-        b = _batched_descendant(rng, root, 2 * length)
+        a = batched_descendant(rng, root, 2 * length)
+        b = batched_descendant(rng, root, 2 * length)
         k = rng.randint(1, 3)
         i = rng.randrange(len(a) - k)
         pairs.append((length, (a, td.tandem_duplicate(a, i, k))))
@@ -569,7 +546,7 @@ def test_criterion_8_near_linear_time(monkeypatch):
     sizes = [1000 * 2**j for j in range(11)]
     cases = []
     for size in sizes:
-        a = _batched_descendant(rng, shared, size)
+        a = batched_descendant(rng, shared, size)
         # a one-step duplication keeps the pair confusable at every size, so
         # every size peels every region of the shared root
         b = td.tandem_duplicate(a, size // 2, 3)
@@ -577,7 +554,7 @@ def test_criterion_8_near_linear_time(monkeypatch):
         # with no surviving triple, the other pumps the triple many times
         flat = b"\x00" + b"\x01" * (size // 2) + b"\x02" * (size - size // 2 - 1)
         pumped = td.pad_tail(b"\x00\x01\x02" * (size // 3), size % 3)
-        c = _batched_descendant(rng, other, size)
+        c = batched_descendant(rng, other, size)
         cases.append((size, (a, b), (flat, pumped), (a, c)))
     assert td.root_le3(cases[0][2][0]) == td.root_le3(cases[0][2][1]) == w("012")
     assert not td.confusable(*cases[0][2])

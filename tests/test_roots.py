@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,18 @@ from tdcodes import (
     root_le_k,
     tandem_duplicate,
 )
-from tdcodes.roots import _TRIPLE_FLOOR, _stack, _stack_triples, root_le3_depths
+from tdcodes import roots
+from tdcodes.confusability import _cap_runs
+from tdcodes.roots import _PREPASS_FLOOR, _prepass_stack, _stack, root_le3_depths
 from tdcodes.words import _free_byte
 
-from conftest import iter_ternary_words, random_descendant_steps, random_ternary, w
+from conftest import (
+    batched_descendant,
+    iter_ternary_words,
+    random_descendant_steps,
+    random_ternary,
+    w,
+)
 from references import remove_duplicates_pass
 
 
@@ -90,11 +99,27 @@ def test_kernel_matches_definitions_on_long_runs(data):
         _check_kernel(x, k, lambda j: prefix_roots[j][k - 1])
 
 
+# Settings of the pre-pass's shares (roots._COLLAPSE_SHARE, _DROP_SHARE,
+# _STACK_SHARE) that force its paths on any word: every step that removes
+# a symbol runs and the collapse is kept, or every step runs and the
+# collapse is given up for the triple drop of the word itself.
+_EVERY = 1 << 40
+_FORCED = [(_EVERY, _EVERY, 0), (_EVERY, _EVERY, _EVERY)]
+
+
+def _set_shares(mp: pytest.MonkeyPatch, shares: tuple[int, int, int]) -> None:
+    for name, value in zip(("_COLLAPSE_SHARE", "_DROP_SHARE", "_STACK_SHARE"), shares):
+        mp.setattr(roots, name, value)
+
+
 def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
-    # every ternary word of length <= 11, through the pre-pass itself:
-    # root_le3_depths skips it below the floor
-    for x in iter_ternary_words(1, 11):
-        assert _stack_triples(x) == _stack(x, 3), x
+    # every ternary word of length <= 11, through the pre-pass itself
+    # (root_le3_depths skips it below the floor), on each forced path
+    for shares in _FORCED:
+        with pytest.MonkeyPatch.context() as mp:
+            _set_shares(mp, shares)
+            for x in iter_ternary_words(1, 11):
+                assert _prepass_stack(x) == _stack(x, 3), (x, shares)
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
@@ -119,28 +144,30 @@ def test_fresh_stack_does_not_copy_the_word(kind):
 def test_stretch_triple_prepass_len13():
     # every ternary word of length 12 and 13; the tier-1 test covers the
     # shorter ones
-    for x in iter_ternary_words(12, 13):
-        assert _stack_triples(x) == _stack(x, 3), x
+    for shares in _FORCED:
+        with pytest.MonkeyPatch.context() as mp:
+            _set_shares(mp, shares)
+            for x in iter_ternary_words(12, 13):
+                assert _prepass_stack(x) == _stack(x, 3), (x, shares)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(st.data())
-def test_triple_prepass_on_pumped_words(data):
-    # words over 3, 4, 5 or 256 byte values of lengths on both sides of the
-    # floor, built from pieces that pump a triple, a pair or one symbol
-    # between plain stretches, so that runs of equal aligned triples start
-    # at every phase
+def _pumped_word(data) -> tuple[bytes, int, bool]:
+    # a word over 3, 4, 5 or 256 byte values of a length on either side of
+    # the floor, built from pieces that pump a triple, a pair or one symbol
+    # between plain stretches, so that runs of equal aligned blocks start
+    # at every phase; with the length of its head (below) and whether the
+    # word holds every byte value
     q = data.draw(st.sampled_from((3, 4, 5, 256)), label="q")
     alphabet = data.draw(
         st.lists(st.integers(0, 255), min_size=q, max_size=q, unique=True), label="alphabet"
     )
     every = q == 256 and data.draw(st.booleans(), label="every byte value")
-    n = data.draw(st.integers(_TRIPLE_FLOOR if every else 1, 3 * _TRIPLE_FLOOR), label="length")
+    n = data.draw(st.integers(_PREPASS_FLOOR if every else 1, 3 * _PREPASS_FLOOR), label="length")
     pieces = []
     if every:
         # every byte value, then five or more copies of a triple: at least
         # three equal aligned blocks, so a dropped one.  Both end within
-        # 256 + 600 < _TRIPLE_FLOOR symbols, so the cut keeps them, and no
+        # 256 + 600 < _PREPASS_FLOOR symbols, so the cut keeps them, and no
         # byte is free to mark the dropped symbols
         pieces.append(bytes(data.draw(st.permutations(alphabet), label="permutation")))
         triple = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=3, max_size=3)))
@@ -156,12 +183,86 @@ def test_triple_prepass_on_pumped_words(data):
             piece = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=30)))
         pieces.insert(data.draw(st.integers(head, len(pieces)), label="at"), piece)
         size += len(piece)
-    x = b"".join(pieces)[:n]
-    if every:
-        assert _free_byte(x) is None
+    return b"".join(pieces)[:n], sum(map(len, pieces[:head])), every
+
+
+def _repeat_symbols(data, x: bytes, start: int, most: int) -> bytes:
+    # x with each symbol from start on, at a drawn rate, repeated 2 to most
+    # times
+    rate = data.draw(st.sampled_from((0, 1 / 64, 1 / 8, 1 / 3, 1)), label="rate")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    return x[:start] + bytes(
+        b for s in x[start:] for b in [s] * (rng.randint(2, most) if rng.random() < rate else 1)
+    )
+
+
+def _check_prepass(x: bytes) -> None:
+    # the public function, and the pre-pass with its shares as they are
+    # and on each forced path, all give the stack's root and table
     expected = _stack(x, 3)
     assert root_le3_depths(x) == expected
-    assert _stack_triples(x) == expected
+    assert _prepass_stack(x) == expected
+    for shares in _FORCED:
+        with pytest.MonkeyPatch.context() as mp:
+            _set_shares(mp, shares)
+            assert _prepass_stack(x) == expected, shares
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_triple_prepass_on_pumped_words(data):
+    # pumped words with symbols doubled at random past the head and then
+    # run-capped, so that the collapse applies, as on the decision's words
+    x, head, every = _pumped_word(data)
+    x = _cap_runs(_repeat_symbols(data, x, head, 2))
+    if every:
+        assert _free_byte(x) is None
+    _check_prepass(x)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_prepass_on_words_with_runs_of_three(data):
+    # pumped words with symbols repeated up to five times and no capping:
+    # runs of three or more, which root_le3_depths, being public, may be
+    # handed, and on which the collapse must not run
+    x, head, _ = _pumped_word(data)
+    _check_prepass(_repeat_symbols(data, x, head, 5))
+
+
+def test_prepass_leaves_the_stack_a_small_share_of_grown_words(monkeypatch):
+    # a deterministic work counter: the symbols handed to the stack loop,
+    # as a share of each run-capped word.  On descendants of a 16-symbol
+    # root of 64k-1M symbols it is 0.7-2.0% (the triple drop alone leaves
+    # 77-80%); on descendants of 2k-8k-symbol roots, where only the triple
+    # drop runs, 97.0-98.2%, as with the triple drop alone
+    rng = random.Random(29)
+    handed = [0]
+
+    def counted(x, k):
+        handed[0] += len(x)
+        return stack(x, k)
+
+    stack = roots._stack
+    monkeypatch.setattr(roots, "_stack", counted)
+
+    def share(word):
+        c = _cap_runs(word)
+        handed[0] = 0
+        root_le3_depths(c)
+        return handed[0] / len(c)
+
+    root = root_le3(bytes(rng.randrange(3) for _ in range(80)))[:16]
+    grown = [share(batched_descendant(rng, root, size)) for size in (1 << 16, 1 << 18, 1 << 20)]
+    assert max(grown) <= 0.04, grown
+    long_roots = []
+    for length in (2000, 4000, 8000):
+        while True:
+            long_root = root_le3(bytes(rng.randrange(3) for _ in range(4 * length + 20)))[:length]
+            if len(long_root) == length:
+                break
+        long_roots += [share(batched_descendant(rng, long_root, 2 * length)) for _ in range(2)]
+    assert max(long_roots) <= 0.985, long_roots
 
 
 def test_root_uniqueness_all_removal_orders():
