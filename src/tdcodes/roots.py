@@ -60,23 +60,15 @@ def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
 _PREPASS_FLOOR = 1024
 
 # The collapse runs only when more than one symbol in _COLLAPSE_SHARE is
-# doubled, and a block drop only when it drops more than one block in
-# _DROP_SHARE.  A step that runs costs some C-level passes over the word
-# and a Python step per table entry to map back, which is more than the
-# stack saves on run-capped random words and irreducible words with one
-# symbol in eight or fewer doubled, and on a single dropped block of a
-# long root's descendant.  On grown descendants of short roots the
-# collapse removes a sixth to a third of the symbols and each drop most
-# of the rest; on descendants of long roots the triple drop removes 2-3%.
+# doubled.  It costs some C-level passes over the word and a Python step
+# per table entry to map back, which is more than the stack saves on
+# irreducible words with one symbol in eight or fewer doubled, such as
+# the descendants of long roots, where it would map a table as long as
+# the root.  On grown descendants of short roots it removes a sixth to a
+# third of the symbols and the pair and triple drops most of the rest.  On
+# run-capped random words it runs too, but the drops then remove little,
+# and the pre-pass takes about twice as long as the triple drop alone.
 _COLLAPSE_SHARE = 8
-_DROP_SHARE = 128
-
-# The collapse is kept only when the stack then reads at most one symbol
-# in _STACK_SHARE of the word.  Mapping a table entry back through it
-# costs about four stack steps, and the table has at most one entry more
-# than the symbols the stack reads, so the kept path costs at most about
-# what the stack over the whole word would.
-_STACK_SHARE = 5
 
 
 def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
@@ -84,8 +76,7 @@ def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
     # and the depth table unchanged: collapse c to its run-free word u,
     # drop repeated aligned pairs and then triples of u (_drop_blocks),
     # run the stack, and map its depth table back through each step.  When
-    # the collapse does not apply or is not kept, only the triples of c
-    # are dropped.
+    # the collapse does not run, only the triples of c are dropped.
     #
     # The collapse deletes the second symbol of every ss.  It applies when
     # c has no run of three, so that e, the mask of the symbols equal to
@@ -114,11 +105,7 @@ def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
         u = _delete(c, a, e << 8, _free_byte(c))
         mask = (e + 2 * (e << 8)).to_bytes(n, "little").translate(None, b"\x02")
     del a, e  # word-sized: freed before the drops
-    if collapse:
-        z, maps = _drop_blocks(u, (2, 3))
-        collapse = _STACK_SHARE * len(z) <= n
-    if not collapse:
-        z, maps = _drop_blocks(c, (3,))
+    z, maps = _drop_blocks(u, (2, 3)) if collapse else _drop_blocks(c, (3,))
     r, last = _stack(z, 3)
     for p, starts in reversed(maps):
         last = [p * starts[j // p] + j % p for j in last]
@@ -132,12 +119,12 @@ def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
 def _drop_blocks(y: Word, periods: tuple[int, ...]) -> tuple[Word, list[tuple[int, list[int]]]]:
     # y after, for each p in periods in turn, dropping the inner blocks of
     # every run of three or more equal aligned p-blocks y[p*k:p*k + p]
-    # (the first and the last block of each run are kept) when they are
-    # more than one block in _DROP_SHARE; and, per p that dropped blocks,
-    # (p, starts) with starts[k] the index among the step's input blocks
-    # of its k-th kept block, and one more entry, the number of blocks,
-    # so that p * starts[j // p] + j % p maps every position j of the
-    # step's output, its end included, to its position in the input.
+    # (the first and the last block of each run are kept); and, per p that
+    # dropped blocks, (p, starts) with starts[k] the index among the step's
+    # input blocks of its k-th kept block, and one more entry, the number
+    # of blocks, so that p * starts[j // p] + j % p maps every position j
+    # of the step's output, its end included, to its position in the
+    # input.
     #
     # Block k equals block k + 1 exactly when the phase slices y[i::p] all
     # have equal symbols at k and k + 1, so the AND e of their p
@@ -172,11 +159,10 @@ def _drop_blocks(y: Word, periods: tuple[int, ...]) -> tuple[Word, list[tuple[in
         for a in ints[1:]:
             e &= _equal_next(a, nb)
         drop = e & (e << 8)
-        dropped = drop.bit_count()
-        if _DROP_SHARE * dropped <= nb:
+        if not drop:
             continue
         c = _free_byte(y)
-        z = bytearray(p * (nb - dropped))
+        z = bytearray(p * (nb - drop.bit_count()))
         for i in range(p):
             z[i::p] = _delete(phases[i], ints[i], drop, c)
         z += y[p * nb :]

@@ -99,27 +99,21 @@ def test_kernel_matches_definitions_on_long_runs(data):
         _check_kernel(x, k, lambda j: prefix_roots[j][k - 1])
 
 
-# Settings of the pre-pass's shares (roots._COLLAPSE_SHARE, _DROP_SHARE,
-# _STACK_SHARE) that force its paths on any word: every step that removes
-# a symbol runs and the collapse is kept, or every step runs and the
-# collapse is given up for the triple drop of the word itself.
-_EVERY = 1 << 40
-_FORCED = [(_EVERY, _EVERY, 0), (_EVERY, _EVERY, _EVERY)]
-
-
-def _set_shares(mp: pytest.MonkeyPatch, shares: tuple[int, int, int]) -> None:
-    for name, value in zip(("_COLLAPSE_SHARE", "_DROP_SHARE", "_STACK_SHARE"), shares):
-        mp.setattr(roots, name, value)
+# Settings of roots._COLLAPSE_SHARE that force the pre-pass's paths on
+# any word: the collapse runs whenever it applies and then the pair and
+# triple drops, or it never runs and only the triples of the word itself
+# are dropped.
+_FORCED = [1 << 40, 0]
 
 
 def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
     # every ternary word of length <= 11, through the pre-pass itself
     # (root_le3_depths skips it below the floor), on each forced path
-    for shares in _FORCED:
+    for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
-            _set_shares(mp, shares)
+            mp.setattr(roots, "_COLLAPSE_SHARE", share)
             for x in iter_ternary_words(1, 11):
-                assert _prepass_stack(x) == _stack(x, 3), (x, shares)
+                assert _prepass_stack(x) == _stack(x, 3), (x, share)
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
@@ -144,11 +138,11 @@ def test_fresh_stack_does_not_copy_the_word(kind):
 def test_stretch_triple_prepass_len13():
     # every ternary word of length 12 and 13; the tier-1 test covers the
     # shorter ones
-    for shares in _FORCED:
+    for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
-            _set_shares(mp, shares)
+            mp.setattr(roots, "_COLLAPSE_SHARE", share)
             for x in iter_ternary_words(12, 13):
-                assert _prepass_stack(x) == _stack(x, 3), (x, shares)
+                assert _prepass_stack(x) == _stack(x, 3), (x, share)
 
 
 def _pumped_word(data) -> tuple[bytes, int, bool]:
@@ -197,15 +191,15 @@ def _repeat_symbols(data, x: bytes, start: int, most: int) -> bytes:
 
 
 def _check_prepass(x: bytes) -> None:
-    # the public function, and the pre-pass with its shares as they are
-    # and on each forced path, all give the stack's root and table
+    # the public function, and the pre-pass with its share as it is and
+    # on each forced path, all give the stack's root and table
     expected = _stack(x, 3)
     assert root_le3_depths(x) == expected
     assert _prepass_stack(x) == expected
-    for shares in _FORCED:
+    for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
-            _set_shares(mp, shares)
-            assert _prepass_stack(x) == expected, shares
+            mp.setattr(roots, "_COLLAPSE_SHARE", share)
+            assert _prepass_stack(x) == expected, share
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -220,13 +214,14 @@ def test_triple_prepass_on_pumped_words(data):
     _check_prepass(x)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_prepass_on_words_with_runs_of_three(data):
-    # pumped words with symbols repeated up to five times and no capping:
-    # runs of three or more, which root_le3_depths, being public, may be
-    # handed, and on which the collapse must not run
+    # pumped words as drawn, and with symbols repeated up to five times,
+    # with no capping: runs of three or more, which root_le3_depths, being
+    # public, may be handed, and on which the collapse must not run
     x, head, _ = _pumped_word(data)
+    _check_prepass(x)
     _check_prepass(_repeat_symbols(data, x, head, 5))
 
 
