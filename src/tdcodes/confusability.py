@@ -18,11 +18,9 @@ from typing import Iterator
 
 from .words import (
     Word,
-    _delete,
-    _equal_next,
-    _free_byte,
     _parse_root,
     _root_text,
+    _squeeze,
     check_word,
     tandem_duplicate,
 )
@@ -80,26 +78,9 @@ def main_and_region(r: Word) -> RegionDescriptor:
     shorter region shapes.  Raises :class:`NoRegionError` when the first
     four positions carry fewer than three distinct symbols.
     """
-    n = len(r)
-    if len(set(r[:4])) < 3:
-        raise NoRegionError(f"no region: fewer than 3 distinct symbols start {_root_text(r)}")
-    if r[0] == r[2]:
-        main = r[1:4]
-        if n < 5 or r[1] != r[4]:
-            reg, w, abc, ell = r[:4], r[:2], bytes((r[0], r[3], r[1])), 0
-        elif n < 6 or r[2] != r[5]:
-            reg, w, abc, ell = r[:5], r[:3], bytes((r[3], r[1], r[0])), 0
-        else:
-            reg, w, abc, ell = r[:6], r[:1], bytes((r[1], r[0], r[3])), 1
-    else:
-        main = r[:3]
-        if n < 4 or r[0] != r[3]:
-            reg, w, abc, ell = r[:3], r[:1], bytes((r[1], r[2], r[0])), 0
-        elif n < 5 or r[1] != r[4]:
-            reg, w, abc, ell = r[:4], r[:2], bytes((r[2], r[0], r[1])), 0
-        else:
-            reg, w, abc, ell = r[:5], b"", r[:3], 1
-    return RegionDescriptor(main, reg, w, abc, ell)
+    for _, desc in _regions(r):
+        return desc
+    raise NoRegionError(f"no region: fewer than 3 distinct symbols start {_root_text(r)}")
 
 
 def extended_prefix(desc: RegionDescriptor, x: Word) -> Word:
@@ -174,10 +155,9 @@ def count_occurrences(t: Word, x: Word) -> int:
 
 def _cap_runs(x: Word) -> Word:
     # x with every run s^k (k >= 3) cut to ss; x itself when nothing is cut.
-    # Byte j of the mask e of symbols equal to their right neighbour
-    # (words._equal_next), ANDed with e >> 8, flags x[j + 2] as the third
-    # symbol of a run, and words._delete cuts the flagged symbols with one
-    # translate.  Every step is one C-level pass.
+    # words._squeeze deletes each symbol equal to the two before it with
+    # C-level passes: on words whose symbols are all below 16 one packed
+    # translate, on others a mask of the third symbols of runs.
     #
     # Capping leaves the decision's outputs unchanged:
     # 1. Cutting s^k to ss is k - 2 length-1 deduplications, so the le-3
@@ -202,44 +182,61 @@ def _cap_runs(x: Word) -> Word:
     n = len(x)
     if n < 3:
         return x
-    a = int.from_bytes(x, "little")
-    e = _equal_next(a, n)
-    e &= e >> 8
-    if not e:
-        return x
-    return _delete(x, a, e << 16, _free_byte(x))
+    c = _squeeze(x, int.from_bytes(x, "little"), 3)
+    return x if len(c) == n else c
+
+
+def _parses(r: Word) -> Iterator[tuple[int, Word, int, int, Word]]:
+    # (offset, main, len(reg), len(w), abc) for the first region of r and
+    # of every suffix left after peeling it (RegionDescriptor), offset
+    # counting the symbols peeled so far.  Peeling stops at a suffix whose
+    # first four symbols hold fewer than three distinct ones; an
+    # irreducible word of length >= 4 always has three.  Each parse reads
+    # at most six symbols, and reg is w + abc*ell + abc[:2], so ell follows
+    # from the two lengths.
+    offset = 0
+    while True:
+        s = r[offset : offset + 6]
+        if len(set(s[:4])) < 3:
+            return
+        n = len(s)
+        if s[0] == s[2]:
+            main = s[1:4]
+            if n < 5 or s[1] != s[4]:
+                m, k, abc = 4, 2, bytes((s[0], s[3], s[1]))
+            elif n < 6 or s[2] != s[5]:
+                m, k, abc = 5, 3, bytes((s[3], s[1], s[0]))
+            else:
+                m, k, abc = 6, 1, bytes((s[1], s[0], s[3]))
+        else:
+            main = s[:3]
+            if n < 4 or s[0] != s[3]:
+                m, k, abc = 3, 1, bytes((s[1], s[2], s[0]))
+            elif n < 5 or s[1] != s[4]:
+                m, k, abc = 4, 2, bytes((s[2], s[0], s[1]))
+            else:
+                m, k, abc = 5, 0, main
+        yield offset, main, m, k, abc
+        offset += m - 2
 
 
 def _regions(r: Word) -> Iterator[tuple[int, RegionDescriptor]]:
-    # (offset, parse) for the first region of the root and of every suffix
-    # left after peeling it, offset counting the symbols peeled so far; an
-    # irreducible word of length >= 4 always has >= 3 distinct symbols, so
-    # the first four positions decide when peeling stops, and the parse
-    # reads at most six
-    offset = 0
-    while len(set(r[offset : offset + 4])) >= 3:
-        desc = main_and_region(r[offset : offset + 6])
-        yield offset, desc
-        offset += len(desc.reg) - 2
+    # (offset, descriptor) per region of r, as _parses finds them
+    for offset, main, m, k, abc in _parses(r):
+        reg = r[offset : offset + m]
+        yield offset, RegionDescriptor(main, reg, reg[:k], abc, (m - k - 2) // 3)
 
 
-_Plan = tuple[tuple[int, Word, Word, Word, Word, Word], ...]
+_Plan = tuple[tuple[int, Word, Word, Word, Word, int], ...]
 
 
 def _region_plan(r: Word) -> _Plan:
     # (end depth, main, main with its middle symbol doubled, the two other
-    # rotations of main, a) per region of the root r, as _regions parses
+    # rotations of main, a) per region of the root r, as _parses finds
     # them; the end depth is offset + len(reg) (see _peel)
     return tuple(
-        (
-            offset + len(d.reg),
-            d.main,
-            d.main[:2] + d.main[1:],
-            d.main[1:] + d.main[:1],
-            d.main[2:] + d.main[:2],
-            d.abc[0],
-        )
-        for offset, d in _regions(r)
+        (offset + m, main, main[:2] + main[1:], main[1:] + main[:1], main[2:] + main[:2], abc[0])
+        for offset, main, m, _, abc in _parses(r)
     )
 
 
@@ -372,7 +369,7 @@ def confusable_by_labels(x: Word, y: Word) -> bool:
 
 def count_regions(r: Word) -> int:
     """Number of region-peeling rounds of an irreducible word ``r``."""
-    return sum(1 for _ in _regions(r))
+    return sum(1 for _ in _parses(r))
 
 
 @dataclass(frozen=True)

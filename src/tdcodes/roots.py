@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate, pairwise
 
-from .words import Word, _delete, _equal_next, _free_byte, _root_text, check_word
+from .words import Word, _delete, _equal_next, _free_byte, _root_text, _sides, _squeeze, check_word
 
 __all__ = [
     "root_le_k",
@@ -51,24 +51,34 @@ def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
 
 
 # Words shorter than this go straight to the stack.  On descendants of
-# short roots grown by duplications and run-capped, the pre-pass costs
-# about 35 us per call plus 40 ns per symbol and broke even between 512
-# and 768 symbols (2-vCPU Xeon, Python 3.11).  Below the floor fall the
+# short roots grown by duplications and run-capped, the pre-pass broke
+# even with the stack between about 620 and 850 symbols (twelve words per
+# length, median of 21 alternated rounds, 2-vCPU Xeon, Python 3.11; the
+# machine's noise is about a tenth either way).  Below the floor fall the
 # label sweep's and the cone's words, of at most a few dozen symbols, and
 # the benchmark's descendants of 1,000-symbol roots, where no step would
 # run.
 _PREPASS_FLOOR = 1024
 
 # The collapse runs only when more than one symbol in _COLLAPSE_SHARE is
-# doubled.  It costs some C-level passes over the word and a Python step
-# per table entry to map back, which is more than the stack saves on
-# irreducible words with one symbol in eight or fewer doubled, such as
-# the descendants of long roots, where it would map a table as long as
-# the root.  On grown descendants of short roots it removes a sixth to a
-# third of the symbols and the pair and triple drops most of the rest.  On
-# run-capped random words it runs too, but the drops then remove little,
-# and the pre-pass takes about twice as long as the triple drop alone.
+# doubled.  It costs a few C-level passes over the word and a Python step
+# per table entry to map back.  On irreducible words with some symbols
+# doubled, which the drops barely shorten, the table is as long as the
+# root, and the pre-pass with the collapse took 2.6-3.7 times as long as
+# without it at every doubled share from 1/32 to 1/3 (4,000 and 32,000
+# symbols).  The share keeps it off the descendants of long roots, where
+# at most 1 symbol in 2,000 is doubled, and on the grown descendants of
+# short roots, where a sixth to a third of the symbols are doubled, the
+# collapse and the drops remove most of the word and the pre-pass takes
+# half the time it takes without the collapse.  On run-capped random
+# words it runs too, but the drops then remove little, and the pre-pass
+# takes about 1.9 times as long as the triple drop alone.
 _COLLAPSE_SHARE = 8
+
+# for mask: a byte of sides with a zero high half -> 1, any other -> 0;
+# and the bytes with a zero low half, which it deletes
+_DOUBLED = b"\x01" * 16 + bytes(240)
+_SECOND = bytes(range(0, 256, 16))
 
 
 def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
@@ -79,9 +89,7 @@ def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
     # the collapse does not run, only the triples of c are dropped.
     #
     # The collapse deletes the second symbol of every ss.  It applies when
-    # c has no run of three, so that e, the mask of the symbols equal to
-    # their right neighbour (words._equal_next), never has two adjacent
-    # bytes set.
+    # c has no run of three, so that no symbol equals both its neighbours.
     # (a) Each deleted symbol is a length-1 duplicate, so u has the root
     #     of c.
     # (b) The stack skips every symbol equal to its top, and only those
@@ -91,21 +99,25 @@ def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
     #     and phi(len(u)) = len(c).  Every assignment to last reads i =
     #     phi(j) on c where it reads j on u, so last_c[d] = phi(last_u[d])
     #     for every depth d.
-    # (c) Byte j of e + 2 * (e << 8) is 1 when c[j] is the first symbol of
-    #     an ss, 2 when it is the second and 0 otherwise.  Deleting the 2
-    #     bytes leaves mask, whose byte j is 1 exactly when c doubles u[j],
-    #     so phi(j) = j + mask.count(1, 0, j); for j = len(u) this counts
-    #     every deleted symbol and gives len(c).  The table is mapped in
-    #     increasing order of its entries, one count per gap between them.
+    # (c) Byte j of sides (words._sides) has a zero low half exactly when
+    #     c[j] is the second symbol of an ss, and a zero high half exactly
+    #     when it is the first.  Deleting the bytes with a zero low half
+    #     leaves one byte per symbol of u, and mapping each to 1 when its
+    #     high half is zero, else to 0, gives mask, whose byte j is 1
+    #     exactly when c doubles u[j].  So phi(j) = j + mask.count(1, 0, j);
+    #     for j = len(u) this counts every deleted symbol and gives len(c).
+    #     The table is mapped in increasing order of its entries, one count
+    #     per gap between them.  A zero byte of sides is a symbol equal to
+    #     both its neighbours, the middle of a run of three, and
+    #     n - len(mask) is the number of deleted symbols.
     n = len(c)
     a = int.from_bytes(c, "little")
-    e = _equal_next(a, n)
-    collapse = not e & (e >> 8) and _COLLAPSE_SHARE * e.bit_count() > n
-    if collapse:
-        u = _delete(c, a, e << 8, _free_byte(c))
-        mask = (e + 2 * (e << 8)).to_bytes(n, "little").translate(None, b"\x02")
-    del a, e  # word-sized: freed before the drops
-    z, maps = _drop_blocks(u, (2, 3)) if collapse else _drop_blocks(c, (3,))
+    sides = _sides(c, a)
+    mask = sides.translate(_DOUBLED, _SECOND)
+    collapse = b"\0" not in sides and _COLLAPSE_SHARE * (n - len(mask)) > n
+    y = _squeeze(c, a, 2) if collapse else c
+    del a, sides  # word-sized: freed before the drops
+    z, maps = _drop_blocks(y, (2, 3) if collapse else (3,))
     r, last = _stack(z, 3)
     for p, starts in reversed(maps):
         last = [p * starts[j // p] + j % p for j in last]

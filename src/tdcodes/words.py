@@ -40,10 +40,14 @@ def parse_word(text: str, q: int = 3) -> Word:
         if not all(part.strip() for part in parts):
             raise ValueError(f"empty symbol in {text!r}")
         symbols = [int(part) for part in parts]
-    elif not text.isdigit():
+    elif not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a digit string: {text!r}")
     elif q <= 10:
-        symbols = [int(ch) for ch in text]
+        x = text.encode().translate(_DIGIT_VALUES)
+        above = x.translate(None, bytes(range(q)))
+        if above:
+            raise ValueError(f"symbol {above[0]} out of range for alphabet size {q}")
+        return x
     elif text == str(int(text)):
         # render_word writes a one-symbol word over q > 10 without a comma
         symbols = [int(text)]
@@ -57,8 +61,17 @@ def parse_word(text: str, q: int = 3) -> Word:
 
 def render_word(x: Word, q: int = 3) -> str:
     if q <= 10:
-        return "".join(str(s) for s in x)
-    return ",".join(str(s) for s in x)
+        text = x.translate(_DIGIT_TEXT)
+        if text.isdigit():
+            return text.decode()
+        # an empty word, or a symbol of ten or more: written in full
+    return ("" if q <= 10 else ",").join(map(str, x))
+
+
+# the digit bytes "0".."9" -> the symbols 0..9; and the symbols 0..9 ->
+# their digits, every other symbol -> 0, which is no digit
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_DIGIT_TEXT = b"0123456789" + bytes(246)
 
 
 def _root_text(root: Word) -> str:
@@ -132,12 +145,68 @@ def pad_tail(x: Word, count: int) -> Word:
 
 
 # The helpers below edit a word with C-level integer and byte operations
-# only (int.from_bytes, shift, xor, to_bytes, translate), one pass per step.
-# A mask is an integer whose bytes are all 0 or 1, byte j standing for the
-# word's symbol j; the word itself is read as a little-endian integer.
+# only (int.from_bytes, shift, xor, or, to_bytes, translate), one pass per
+# step.  The word itself is read as a little-endian integer a, byte j
+# standing for its symbol j.  A word is narrow when all its symbols are
+# below 16: then a symbol and the xor of two fit in half a byte, and one
+# translate of a word that packs flags above each symbol deletes the
+# flagged symbols (_squeeze) or classifies them (_sides).  Other words
+# take masks: integers whose bytes are all 0 or 1 (_equal_next, _delete).
 
+# the bytes with a zero high half; and each byte -> its low half
+_LOW_ONLY = bytes(range(16))
+_LOW_HALF = bytes(b & 15 for b in range(256))
 # byte 0 -> 1, every other byte -> 0
 _EQ = b"\x01" + bytes(255)
+
+
+def _narrow(x: Word) -> bool:
+    # every symbol of x is below 16
+    return not x.translate(None, _LOW_ONLY)
+
+
+def _left_xor(x: Word, a: int) -> int:
+    # byte j is x[j] ^ x[j - 1], and 1 at j = 0, where x[-1] reads as
+    # x[0] ^ 1; byte n = len(x) is x[n - 1]
+    return a ^ ((a << 8) | (x[0] ^ 1))
+
+
+def _squeeze(x: Word, a: int, run: int) -> Word:
+    # x without every symbol equal to the run - 1 symbols before it, which
+    # cuts each run of equal symbols to at most run - 1 of them (run >= 2).
+    # On a narrow x, byte j of f, the OR of _left_xor shifted up by 0 to
+    # run - 2 bytes, is zero exactly when x[j] is such a symbol, and never
+    # at j < run - 1.  Byte j of a | f << 4 then packs x[j] below f_j, and
+    # one translate deletes the bytes whose high half is zero and unpacks
+    # the rest; the bytes from n on hold the tail of f and are cut off.
+    n = len(x)
+    if not _narrow(x):
+        e = _equal_next(a, n)
+        for _ in range(run - 2):
+            e &= e >> 8
+        return _delete(x, a, e << 8 * (run - 1), _free_byte(x))
+    d = _left_xor(x, a)
+    f = d
+    for i in range(1, run - 1):
+        f |= d << 8 * i
+    return (a | f << 4).to_bytes(n + run, "little")[:n].translate(_LOW_HALF, _LOW_ONLY)
+
+
+def _sides(x: Word, a: int) -> bytes:
+    # one byte per symbol of x: its low half is zero exactly when the
+    # symbol equals the one before it, and its high half exactly when it
+    # equals the one after it; the first symbol has none before it and the
+    # last none after it.  On a narrow x the halves are _left_xor at j and
+    # at j + 1 (a shift by 4 moves each byte's low half into the high half
+    # of the byte below), with byte n set nonzero for the last symbol; on
+    # other words they are 1 minus the masks of the symbols equal to their
+    # left and to their right neighbour.
+    n = len(x)
+    if not _narrow(x):
+        e = _equal_next(a, n)
+        return (int.from_bytes(b"\x11" * n, "little") - (e << 8) - (e << 4)).to_bytes(n, "little")
+    d = _left_xor(x, a) | (1 << 8 * n)
+    return (d | d >> 4).to_bytes(n + 1, "little")[:n]
 
 
 def _equal_next(a: int, n: int) -> int:

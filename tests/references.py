@@ -8,7 +8,7 @@ from bisect import bisect_left
 from functools import cache
 from itertools import permutations
 
-from tdcodes.confusability import Label, _region_plan, compute_label
+from tdcodes.confusability import Label, _region_plan, compute_label, main_and_region
 from tdcodes.roots import _stack
 
 Word = bytes
@@ -35,6 +35,24 @@ def remove_duplicates_pass(x: Word, k: int) -> Word:
         else:
             i += 1
     return bytes(r)
+
+
+def region_plan_by_descriptors(r: Word):
+    """``confusability._region_plan`` built from one ``RegionDescriptor`` per region.
+
+    Each round parses the first region of the rest of the root with the
+    public ``main_and_region`` and peels it, keeping its last two symbols,
+    until the first four symbols left hold fewer than three distinct ones.
+    """
+    plan = []
+    offset = 0
+    while len(set(r[offset : offset + 4])) >= 3:
+        d = main_and_region(r[offset : offset + 6])
+        main = d.main
+        rotations = (main[:2] + main[1:], main[1:] + main[:1], main[2:] + main[:2])
+        plan.append((offset + len(d.reg), main, *rotations, d.abc[0]))
+        offset += len(d.reg) - 2
+    return tuple(plan)
 
 
 def region_vector_upper_bound_bruteforce(n: int, i: int, m: int) -> int:

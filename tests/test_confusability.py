@@ -34,6 +34,7 @@ from tdcodes.confusability import (
     _regions,
     _swap_steps,
 )
+from tdcodes.oracle import _walk
 from tdcodes.roots import root_le3_depths
 from tdcodes.words import _free_byte
 
@@ -44,6 +45,7 @@ from conftest import (
     random_ternary,
     w,
 )
+from references import region_plan_by_descriptors
 
 
 def test_main_and_region_examples():
@@ -197,13 +199,21 @@ def _cap_runs_by_loop(x):
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_cap_runs_matches_loop_over_byte_alphabets(data):
-    full = data.draw(st.booleans(), label="all 256 bytes")
+    kind = data.draw(st.sampled_from(("bytes", "all 256", "below 16", "one 16")), label="kind")
+    full = kind == "all 256"
     if full:
         alphabet = list(range(256))
-    else:
+    elif kind == "bytes":
         alphabet = data.draw(
             st.lists(st.integers(0, 255), min_size=2, max_size=256, unique=True), label="alphabet"
         )
+    else:
+        # symbols below 16 with 15 among them (words._squeeze's packed
+        # translate, up to the top of a half byte), or with exactly one
+        # symbol, 16, that is not (its masks)
+        alphabet = data.draw(
+            st.lists(st.integers(0, 14), min_size=1, max_size=15, unique=True), label="alphabet"
+        ) + [15 if kind == "below 16" else 16]
     runs = data.draw(
         st.lists(
             st.tuples(st.sampled_from(alphabet), st.integers(1, 50)), min_size=1, max_size=30
@@ -220,6 +230,12 @@ def test_cap_runs_matches_loop_over_byte_alphabets(data):
     x = x[: data.draw(st.integers(low, len(x)), label="length")]
     if full:
         assert _free_byte(x) is None
+    if kind in ("below 16", "one 16"):
+        # a run of the top symbol anywhere, the ends included
+        top = alphabet[-1]
+        at = data.draw(st.integers(0, len(x)), label="at")
+        x = x[:at] + bytes((top,)) * data.draw(st.integers(1, 4), label="top run") + x[at:]
+        assert max(x) == top
     got = _cap_runs(x)
     assert got == _cap_runs_by_loop(x)
     if got == x:
@@ -227,10 +243,29 @@ def test_cap_runs_matches_loop_over_byte_alphabets(data):
 
 
 def test_cap_runs_short_words():
-    for n in range(1, 4):
-        for word in itertools.product((0, 1, 255), repeat=n):
-            x = bytes(word)
-            assert _cap_runs(x) == _cap_runs_by_loop(x)
+    for symbols in ((0, 1, 255), (0, 1, 15), (0, 14, 16)):
+        for n in range(1, 6):
+            for word in itertools.product(symbols, repeat=n):
+                x = bytes(word)
+                assert _cap_runs(x) == _cap_runs_by_loop(x)
+
+
+def test_region_plan_matches_descriptors_on_canonical_roots():
+    # every canonical ternary root of length <= 12
+    for r in _walk(1, 12, 3, 3, canonical=True):
+        assert _region_plan(r) == region_plan_by_descriptors(r), r
+
+
+def test_region_plan_matches_descriptors_on_long_roots():
+    # roots of random words over 3-12 symbols, cut to up to 4,000 symbols
+    # (a prefix of a root is a root)
+    rng = random.Random(30)
+    for q in range(3, 13):
+        for _ in range(4):
+            r = root_le3(bytes(rng.randrange(q) for _ in range(rng.randint(1, 12_000))))
+            r = r[: rng.randint(1, 4000)]
+            assert _region_plan(r) == region_plan_by_descriptors(r), (q, r)
+            assert count_regions(r) == len(_region_plan(r))
 
 
 def test_confusable_examples():

@@ -104,16 +104,23 @@ def test_kernel_matches_definitions_on_long_runs(data):
 # triple drops, or it never runs and only the triples of the word itself
 # are dropped.
 _FORCED = [1 << 40, 0]
+# Relabelings of ternary words: symbols below 16 (the packed translates of
+# words._squeeze and words._sides) and, on every word that holds its third
+# symbol, one of 16 or more (their masks).
+_RELABEL = [bytes.maketrans(b"\0\1\2", alphabet) for alphabet in (b"\0\1\2", b"\x0f\x00\x10")]
 
 
 def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
     # every ternary word of length <= 11, through the pre-pass itself
-    # (root_le3_depths skips it below the floor), on each forced path
+    # (root_le3_depths skips it below the floor), on each forced path and
+    # over a narrow and a wide alphabet
     for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(roots, "_COLLAPSE_SHARE", share)
-            for x in iter_ternary_words(1, 11):
-                assert _prepass_stack(x) == _stack(x, 3), (x, share)
+            for word in iter_ternary_words(1, 11):
+                for table in _RELABEL:
+                    x = word.translate(table)
+                    assert _prepass_stack(x) == _stack(x, 3), (x, share)
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
@@ -141,19 +148,26 @@ def test_stretch_triple_prepass_len13():
     for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(roots, "_COLLAPSE_SHARE", share)
-            for x in iter_ternary_words(12, 13):
-                assert _prepass_stack(x) == _stack(x, 3), (x, share)
+            for word in iter_ternary_words(12, 13):
+                for table in _RELABEL:
+                    x = word.translate(table)
+                    assert _prepass_stack(x) == _stack(x, 3), (x, share)
 
 
 def _pumped_word(data) -> tuple[bytes, int, bool]:
-    # a word over 3, 4, 5 or 256 byte values of a length on either side of
-    # the floor, built from pieces that pump a triple, a pair or one symbol
-    # between plain stretches, so that runs of equal aligned blocks start
-    # at every phase; with the length of its head (below) and whether the
-    # word holds every byte value
+    # a word over 3, 4, 5 or 256 byte values (the first three sizes drawn
+    # all below 16, or with one of 16 or more: see _RELABEL) of a length on
+    # either side of the floor, built from pieces that pump a triple, a
+    # pair or one symbol between plain stretches, so that runs of equal
+    # aligned blocks start at every phase; with the length of its head
+    # (below) and whether the word holds every byte value
     q = data.draw(st.sampled_from((3, 4, 5, 256)), label="q")
+    narrow = q < 256 and data.draw(st.booleans(), label="narrow")
     alphabet = data.draw(
-        st.lists(st.integers(0, 255), min_size=q, max_size=q, unique=True), label="alphabet"
+        st.lists(st.integers(0, 15 if narrow else 255), min_size=q, max_size=q, unique=True).filter(
+            lambda symbols: narrow or max(symbols) >= 16
+        ),
+        label="alphabet",
     )
     every = q == 256 and data.draw(st.booleans(), label="every byte value")
     n = data.draw(st.integers(_PREPASS_FLOOR if every else 1, 3 * _PREPASS_FLOOR), label="length")
