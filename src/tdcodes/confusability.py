@@ -182,7 +182,7 @@ def _cap_runs(x: Word) -> Word:
     n = len(x)
     if n < 3:
         return x
-    c = _squeeze(x, int.from_bytes(x, "little"), 3)
+    c = _squeeze(x, 3)
     return x if len(c) == n else c
 
 

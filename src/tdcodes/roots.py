@@ -111,12 +111,14 @@ def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
     #     both its neighbours, the middle of a run of three, and
     #     n - len(mask) is the number of deleted symbols.
     n = len(c)
-    a = int.from_bytes(c, "little")
-    sides = _sides(c, a)
+    sides = _sides(c)
     mask = sides.translate(_DOUBLED, _SECOND)
     collapse = b"\0" not in sides and _COLLAPSE_SHARE * (n - len(mask)) > n
-    y = _squeeze(c, a, 2) if collapse else c
-    del a, sides  # word-sized: freed before the drops
+    # word-sized: freed before the drops, mask too unless it maps back
+    del sides
+    if not collapse:
+        del mask
+    y = _squeeze(c, 2) if collapse else c
     z, maps = _drop_blocks(y, (2, 3) if collapse else (3,))
     r, last = _stack(z, 3)
     for p, starts in reversed(maps):

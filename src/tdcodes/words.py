@@ -40,14 +40,10 @@ def parse_word(text: str, q: int = 3) -> Word:
         if not all(part.strip() for part in parts):
             raise ValueError(f"empty symbol in {text!r}")
         symbols = [int(part) for part in parts]
-    elif not (text.isascii() and text.isdigit()):
+    elif not text.isdigit():
         raise ValueError(f"not a digit string: {text!r}")
     elif q <= 10:
-        x = text.encode().translate(_DIGIT_VALUES)
-        above = x.translate(None, bytes(range(q)))
-        if above:
-            raise ValueError(f"symbol {above[0]} out of range for alphabet size {q}")
-        return x
+        symbols = [int(ch) for ch in text]
     elif text == str(int(text)):
         # render_word writes a one-symbol word over q > 10 without a comma
         symbols = [int(text)]
@@ -61,17 +57,8 @@ def parse_word(text: str, q: int = 3) -> Word:
 
 def render_word(x: Word, q: int = 3) -> str:
     if q <= 10:
-        text = x.translate(_DIGIT_TEXT)
-        if text.isdigit():
-            return text.decode()
-        # an empty word, or a symbol of ten or more: written in full
-    return ("" if q <= 10 else ",").join(map(str, x))
-
-
-# the digit bytes "0".."9" -> the symbols 0..9; and the symbols 0..9 ->
-# their digits, every other symbol -> 0, which is no digit
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_DIGIT_TEXT = b"0123456789" + bytes(246)
+        return "".join(str(s) for s in x)
+    return ",".join(str(s) for s in x)
 
 
 def _root_text(root: Word) -> str:
@@ -171,7 +158,7 @@ def _left_xor(x: Word, a: int) -> int:
     return a ^ ((a << 8) | (x[0] ^ 1))
 
 
-def _squeeze(x: Word, a: int, run: int) -> Word:
+def _squeeze(x: Word, run: int) -> Word:
     # x without every symbol equal to the run - 1 symbols before it, which
     # cuts each run of equal symbols to at most run - 1 of them (run >= 2).
     # On a narrow x, byte j of f, the OR of _left_xor shifted up by 0 to
@@ -179,7 +166,10 @@ def _squeeze(x: Word, a: int, run: int) -> Word:
     # at j < run - 1.  Byte j of a | f << 4 then packs x[j] below f_j, and
     # one translate deletes the bytes whose high half is zero and unpacks
     # the rest; the bytes from n on hold the tail of f and are cut off.
+    # There each word-sized integer is freed once read for the last time,
+    # so at most four are alive at once.
     n = len(x)
+    a = int.from_bytes(x, "little")
     if not _narrow(x):
         e = _equal_next(a, n)
         for _ in range(run - 2):
@@ -189,10 +179,13 @@ def _squeeze(x: Word, a: int, run: int) -> Word:
     f = d
     for i in range(1, run - 1):
         f |= d << 8 * i
-    return (a | f << 4).to_bytes(n + run, "little")[:n].translate(_LOW_HALF, _LOW_ONLY)
+    del d
+    f = a | f << 4
+    del a
+    return f.to_bytes(n + run, "little")[:n].translate(_LOW_HALF, _LOW_ONLY)
 
 
-def _sides(x: Word, a: int) -> bytes:
+def _sides(x: Word) -> bytes:
     # one byte per symbol of x: its low half is zero exactly when the
     # symbol equals the one before it, and its high half exactly when it
     # equals the one after it; the first symbol has none before it and the
@@ -202,10 +195,14 @@ def _sides(x: Word, a: int) -> bytes:
     # other words they are 1 minus the masks of the symbols equal to their
     # left and to their right neighbour.
     n = len(x)
+    a = int.from_bytes(x, "little")
     if not _narrow(x):
         e = _equal_next(a, n)
+        del a
         return (int.from_bytes(b"\x11" * n, "little") - (e << 8) - (e << 4)).to_bytes(n, "little")
-    d = _left_xor(x, a) | (1 << 8 * n)
+    d = _left_xor(x, a)
+    del a
+    d |= 1 << 8 * n
     return (d | d >> 4).to_bytes(n + 1, "little")[:n]
 
 

@@ -8,7 +8,7 @@ from bisect import bisect_left
 from functools import cache
 from itertools import permutations
 
-from tdcodes.confusability import Label, _region_plan, compute_label, main_and_region
+from tdcodes.confusability import Label, _region_plan, compute_label
 from tdcodes.roots import _stack
 
 Word = bytes
@@ -37,21 +37,46 @@ def remove_duplicates_pass(x: Word, k: int) -> Word:
     return bytes(r)
 
 
-def region_plan_by_descriptors(r: Word):
-    """``confusability._region_plan`` built from one ``RegionDescriptor`` per region.
+def first_region_by_cases(r: Word) -> tuple[Word, Word, Word]:
+    """``(main, reg, abc)`` of the first region of ``r``, case by case.
 
-    Each round parses the first region of the rest of the root with the
-    public ``main_and_region`` and peels it, keeping its last two symbols,
+    The region shapes written out as ``main_and_region`` wrote them before
+    the library parsed every region through one table, so the plan below
+    does not share the parser it is checked against.  Missing positions
+    compare as different; the first four symbols must hold three distinct
+    ones.
+    """
+    n = len(r)
+    assert len(set(r[:4])) >= 3, r
+    if r[0] == r[2]:
+        main = r[1:4]
+        if n < 5 or r[1] != r[4]:
+            return main, r[:4], bytes((r[0], r[3], r[1]))
+        if n < 6 or r[2] != r[5]:
+            return main, r[:5], bytes((r[3], r[1], r[0]))
+        return main, r[:6], bytes((r[1], r[0], r[3]))
+    main = r[:3]
+    if n < 4 or r[0] != r[3]:
+        return main, r[:3], bytes((r[1], r[2], r[0]))
+    if n < 5 or r[1] != r[4]:
+        return main, r[:4], bytes((r[2], r[0], r[1]))
+    return main, r[:5], r[:3]
+
+
+def region_plan_by_cases(r: Word):
+    """``confusability._region_plan`` built region by region.
+
+    Each round parses the first region of the rest of the root with
+    ``first_region_by_cases`` and peels it, keeping its last two symbols,
     until the first four symbols left hold fewer than three distinct ones.
     """
     plan = []
     offset = 0
     while len(set(r[offset : offset + 4])) >= 3:
-        d = main_and_region(r[offset : offset + 6])
-        main = d.main
+        main, reg, abc = first_region_by_cases(r[offset : offset + 6])
         rotations = (main[:2] + main[1:], main[1:] + main[:1], main[2:] + main[:2])
-        plan.append((offset + len(d.reg), main, *rotations, d.abc[0]))
-        offset += len(d.reg) - 2
+        plan.append((offset + len(reg), main, *rotations, abc[0]))
+        offset += len(reg) - 2
     return tuple(plan)
 
 

@@ -45,7 +45,7 @@ from conftest import (
     random_ternary,
     w,
 )
-from references import region_plan_by_descriptors
+from references import first_region_by_cases, region_plan_by_cases
 
 
 def test_main_and_region_examples():
@@ -196,7 +196,7 @@ def _cap_runs_by_loop(x):
     return bytes(out)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=800, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_cap_runs_matches_loop_over_byte_alphabets(data):
     kind = data.draw(st.sampled_from(("bytes", "all 256", "below 16", "one 16")), label="kind")
@@ -250,13 +250,17 @@ def test_cap_runs_short_words():
                 assert _cap_runs(x) == _cap_runs_by_loop(x)
 
 
-def test_region_plan_matches_descriptors_on_canonical_roots():
-    # every canonical ternary root of length <= 12
+def test_region_plan_matches_cases_on_canonical_roots():
+    # every canonical ternary root of length <= 12; the first region's
+    # shape also against main_and_region
     for r in _walk(1, 12, 3, 3, canonical=True):
-        assert _region_plan(r) == region_plan_by_descriptors(r), r
+        assert _region_plan(r) == region_plan_by_cases(r), r
+        if len(set(r[:4])) >= 3:
+            d = main_and_region(r)
+            assert (d.main, d.reg, d.abc) == first_region_by_cases(r), r
 
 
-def test_region_plan_matches_descriptors_on_long_roots():
+def test_region_plan_matches_cases_on_long_roots():
     # roots of random words over 3-12 symbols, cut to up to 4,000 symbols
     # (a prefix of a root is a root)
     rng = random.Random(30)
@@ -264,7 +268,7 @@ def test_region_plan_matches_descriptors_on_long_roots():
         for _ in range(4):
             r = root_le3(bytes(rng.randrange(q) for _ in range(rng.randint(1, 12_000))))
             r = r[: rng.randint(1, 4000)]
-            assert _region_plan(r) == region_plan_by_descriptors(r), (q, r)
+            assert _region_plan(r) == region_plan_by_cases(r), (q, r)
             assert count_regions(r) == len(_region_plan(r))
 
 

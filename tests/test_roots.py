@@ -216,7 +216,7 @@ def _check_prepass(x: bytes) -> None:
             assert _prepass_stack(x) == expected, share
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_triple_prepass_on_pumped_words(data):
     # pumped words with symbols doubled at random past the head and then
@@ -228,7 +228,7 @@ def test_triple_prepass_on_pumped_words(data):
     _check_prepass(x)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_prepass_on_words_with_runs_of_three(data):
     # pumped words as drawn, and with symbols repeated up to five times,
