@@ -19,6 +19,7 @@ from typing import Iterator
 from .words import (
     Word,
     _parse_root,
+    _narrow,
     _root_text,
     _squeeze,
     check_word,
@@ -153,11 +154,16 @@ def count_occurrences(t: Word, x: Word) -> int:
     return p.count(t) + p.count(t[:2] + t[1:])
 
 
+# a run of three or more equal symbols
+_LONG_RUN = re.compile(rb"(.)\1\1+", re.S)
+
+
 def _cap_runs(x: Word) -> Word:
     # x with every run s^k (k >= 3) cut to ss; x itself when nothing is cut.
-    # words._squeeze deletes each symbol equal to the two before it with
-    # C-level passes: on words whose symbols are all below 16 one packed
-    # translate, on others a mask of the third symbols of runs.
+    # On words whose symbols are all below 16, words._squeeze deletes each
+    # symbol equal to the two before it with one packed translate; on
+    # others one regex substitution cuts the runs (re.S, so that byte 10
+    # is a symbol like any other).
     #
     # Capping leaves the decision's outputs unchanged:
     # 1. Cutting s^k to ss is k - 2 length-1 deduplications, so the le-3
@@ -182,7 +188,7 @@ def _cap_runs(x: Word) -> Word:
     n = len(x)
     if n < 3:
         return x
-    c = _squeeze(x, 3)
+    c = _squeeze(x, 3) if _narrow(x) else _LONG_RUN.sub(rb"\1\1", x)
     return x if len(c) == n else c
 
 

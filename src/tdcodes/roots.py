@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate, pairwise
 
-from .words import Word, _delete, _equal_next, _free_byte, _root_text, _sides, _squeeze, check_word
+from .words import Word, _EQ, _keep, _narrow, _root_text, _sides, _squeeze, check_word
 
 __all__ = [
     "root_le_k",
@@ -45,19 +45,20 @@ def root_le3_depths(x: Word) -> tuple[Word, list[int]]:
     """
     if len(x) == 0:
         raise ValueError("empty word has no root")
-    if len(x) < _PREPASS_FLOOR:
+    if len(x) < _PREPASS_FLOOR or not _narrow(x):
         return _stack(x, 3)
     return _prepass_stack(x)
 
 
-# Words shorter than this go straight to the stack.  On descendants of
-# short roots grown by duplications and run-capped, the pre-pass broke
-# even with the stack between about 620 and 850 symbols (twelve words per
-# length, median of 21 alternated rounds, 2-vCPU Xeon, Python 3.11; the
-# machine's noise is about a tenth either way).  Below the floor fall the
-# label sweep's and the cone's words, of at most a few dozen symbols, and
-# the benchmark's descendants of 1,000-symbol roots, where no step would
-# run.
+# Words shorter than this go straight to the stack, as do words with a
+# symbol of 16 or more, which the pre-pass's packed bytes cannot hold
+# (words._narrow).  On descendants of short roots grown by duplications
+# and run-capped, the pre-pass broke even with the stack between about
+# 620 and 850 symbols (twelve words per length, median of 21 alternated
+# rounds, 2-vCPU Xeon, Python 3.11; the machine's noise is about a tenth
+# either way).  Below the floor fall the label sweep's and the cone's
+# words, of at most a few dozen symbols, and the benchmark's descendants
+# of 1,000-symbol roots, where no step would run.
 _PREPASS_FLOOR = 1024
 
 # The collapse runs only when more than one symbol in _COLLAPSE_SHARE is
@@ -82,11 +83,12 @@ _SECOND = bytes(range(0, 256, 16))
 
 
 def _prepass_stack(c: Word) -> tuple[Word, list[int]]:
-    # _stack(c, 3) after C-level steps that shorten c and leave the root
-    # and the depth table unchanged: collapse c to its run-free word u,
-    # drop repeated aligned pairs and then triples of u (_drop_blocks),
-    # run the stack, and map its depth table back through each step.  When
-    # the collapse does not run, only the triples of c are dropped.
+    # _stack(c, 3) after C-level steps that shorten the narrow c and leave
+    # the root and the depth table unchanged: collapse c to its run-free
+    # word u, drop repeated aligned pairs and then triples of u
+    # (_drop_blocks), run the stack, and map its depth table back through
+    # each step.  When the collapse does not run, only the triples of c
+    # are dropped.
     #
     # The collapse deletes the second symbol of every ss.  It applies when
     # c has no run of three, so that no symbol equals both its neighbours.
@@ -141,9 +143,11 @@ def _drop_blocks(y: Word, periods: tuple[int, ...]) -> tuple[Word, list[tuple[in
     # input.
     #
     # Block k equals block k + 1 exactly when the phase slices y[i::p] all
-    # have equal symbols at k and k + 1, so the AND e of their p
-    # equal-neighbour masks (words._equal_next) marks the blocks equal to
-    # the next one, and e & (e << 8) the inner blocks of each run.
+    # have equal symbols at k and k + 1.  On the narrow y, byte k of the OR
+    # g of a ^ (a >> 8) over the phases read as integers a, with its top
+    # byte nb - 1 set nonzero, is zero exactly when block k equals block
+    # k + 1, so byte k of g | g << 8 | 1 is zero exactly at the inner
+    # blocks of each run, and words._keep deletes them from each phase.
     #
     # Dropping leaves the root and the depth table of the stack unchanged.
     # Write z for what is left, phi(j) for the position in y of the j-th
@@ -167,24 +171,26 @@ def _drop_blocks(y: Word, periods: tuple[int, ...]) -> tuple[Word, list[tuple[in
     maps = []
     for p in periods:
         nb = len(y) // p
-        phases = [y[i : p * nb : p] for i in range(p)]
-        ints = [int.from_bytes(phase, "little") for phase in phases]
-        e = _equal_next(ints[0], nb)
-        for a in ints[1:]:
-            e &= _equal_next(a, nb)
-        drop = e & (e << 8)
-        if not drop:
+        if nb < 3:
             continue
-        c = _free_byte(y)
-        z = bytearray(p * (nb - drop.bit_count()))
+        ints = [int.from_bytes(y[i : p * nb : p], "little") for i in range(p)]
+        g = 1 << 8 * (nb - 1)
+        for a in ints:
+            g |= a ^ (a >> 8)
+        keep = g | g << 8 | 1
+        del g
+        flags = keep.to_bytes(nb + 1, "little")[:nb]
+        if b"\0" not in flags:
+            continue
+        z = bytearray(p * (nb - flags.count(0)))
         for i in range(p):
-            z[i::p] = _delete(phases[i], ints[i], drop, c)
+            z[i::p] = _keep(ints[i], keep, nb)
         z += y[p * nb :]
         # in the block mask (1 dropped, 0 kept) write each 0 as 0 1 and cut
         # at the 0s: piece k > 0 is the 1 after kept block k - 1 and the
         # blocks dropped after it, so the lengths of pieces 0..k sum to the
         # index of kept block k, and all of them to nb
-        pieces = drop.to_bytes(nb, "little").replace(b"\0", b"\0\1").split(b"\0")
+        pieces = flags.translate(_EQ).replace(b"\0", b"\0\1").split(b"\0")
         maps.append((p, list(accumulate(map(len, pieces)))))
         y = z
     return y, maps

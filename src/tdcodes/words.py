@@ -10,8 +10,6 @@ public entry point; it only ever appears as an internal intermediate.
 
 from __future__ import annotations
 
-from itertools import compress
-
 Word = bytes
 
 __all__ = [
@@ -56,6 +54,9 @@ def parse_word(text: str, q: int = 3) -> Word:
 
 
 def render_word(x: Word, q: int = 3) -> str:
+    """Write the text form of a word over ``0..q-1``, which parses back."""
+    if x and max(x) >= q:
+        raise ValueError(f"symbol {max(x)} out of range for alphabet size {q}")
     if q <= 10:
         return "".join(str(s) for s in x)
     return ",".join(str(s) for s in x)
@@ -134,11 +135,10 @@ def pad_tail(x: Word, count: int) -> Word:
 # The helpers below edit a word with C-level integer and byte operations
 # only (int.from_bytes, shift, xor, or, to_bytes, translate), one pass per
 # step.  The word itself is read as a little-endian integer a, byte j
-# standing for its symbol j.  A word is narrow when all its symbols are
-# below 16: then a symbol and the xor of two fit in half a byte, and one
-# translate of a word that packs flags above each symbol deletes the
-# flagged symbols (_squeeze) or classifies them (_sides).  Other words
-# take masks: integers whose bytes are all 0 or 1 (_equal_next, _delete).
+# standing for its symbol j.  They take narrow words, whose symbols are
+# all below 16: then a symbol and the xor of two fit in half a byte, and
+# one translate of a word that packs flags above each symbol deletes the
+# unflagged symbols (_keep) or classifies them (_sides).
 
 # the bytes with a zero high half; and each byte -> its low half
 _LOW_ONLY = bytes(range(16))
@@ -158,76 +158,42 @@ def _left_xor(x: Word, a: int) -> int:
     return a ^ ((a << 8) | (x[0] ^ 1))
 
 
+def _keep(a: int, f: int, n: int) -> Word:
+    # the symbols j < n of the narrow n-symbol word read as a whose byte j
+    # of f is nonzero, every byte of f being below 16.  Byte j of
+    # a | f << 4 packs symbol j below f_j, and one translate deletes the
+    # bytes whose high half is zero and unpacks the rest; the bytes from n
+    # on hold only the tail of f and are cut off.  The packed integer is
+    # never named, so it is freed once read.
+    size = max(n, (f.bit_length() + 11) // 8)
+    return (a | f << 4).to_bytes(size, "little")[:n].translate(_LOW_HALF, _LOW_ONLY)
+
+
 def _squeeze(x: Word, run: int) -> Word:
-    # x without every symbol equal to the run - 1 symbols before it, which
-    # cuts each run of equal symbols to at most run - 1 of them (run >= 2).
-    # On a narrow x, byte j of f, the OR of _left_xor shifted up by 0 to
-    # run - 2 bytes, is zero exactly when x[j] is such a symbol, and never
-    # at j < run - 1.  Byte j of a | f << 4 then packs x[j] below f_j, and
-    # one translate deletes the bytes whose high half is zero and unpacks
-    # the rest; the bytes from n on hold the tail of f and are cut off.
-    # There each word-sized integer is freed once read for the last time,
-    # so at most four are alive at once.
-    n = len(x)
+    # the narrow x without every symbol equal to the run - 1 symbols before
+    # it, which cuts each run of equal symbols to at most run - 1 of them
+    # (run >= 2): byte j of the OR of _left_xor shifted up by 0 to run - 2
+    # bytes is zero exactly when x[j] is such a symbol, and never at
+    # j < run - 1.
     a = int.from_bytes(x, "little")
-    if not _narrow(x):
-        e = _equal_next(a, n)
-        for _ in range(run - 2):
-            e &= e >> 8
-        return _delete(x, a, e << 8 * (run - 1), _free_byte(x))
     d = _left_xor(x, a)
     f = d
     for i in range(1, run - 1):
         f |= d << 8 * i
     del d
-    f = a | f << 4
-    del a
-    return f.to_bytes(n + run, "little")[:n].translate(_LOW_HALF, _LOW_ONLY)
+    return _keep(a, f, len(x))
 
 
 def _sides(x: Word) -> bytes:
-    # one byte per symbol of x: its low half is zero exactly when the
-    # symbol equals the one before it, and its high half exactly when it
-    # equals the one after it; the first symbol has none before it and the
-    # last none after it.  On a narrow x the halves are _left_xor at j and
-    # at j + 1 (a shift by 4 moves each byte's low half into the high half
-    # of the byte below), with byte n set nonzero for the last symbol; on
-    # other words they are 1 minus the masks of the symbols equal to their
-    # left and to their right neighbour.
+    # one byte per symbol of the narrow x: its low half is zero exactly
+    # when the symbol equals the one before it, and its high half exactly
+    # when it equals the one after it; the first symbol has none before it
+    # and the last none after it.  The halves are _left_xor at j and at
+    # j + 1 (a shift by 4 moves each byte's low half into the high half of
+    # the byte below), with byte n set nonzero for the last symbol.
     n = len(x)
     a = int.from_bytes(x, "little")
-    if not _narrow(x):
-        e = _equal_next(a, n)
-        del a
-        return (int.from_bytes(b"\x11" * n, "little") - (e << 8) - (e << 4)).to_bytes(n, "little")
     d = _left_xor(x, a)
     del a
     d |= 1 << 8 * n
     return (d | d >> 4).to_bytes(n + 1, "little")[:n]
-
-
-def _equal_next(a: int, n: int) -> int:
-    # the mask of the symbols equal to their right neighbour in the n-symbol
-    # word u read as a: byte j of a ^ (a >> 8) is zero exactly when
-    # u[j] == u[j + 1]
-    return int.from_bytes((a ^ (a >> 8)).to_bytes(n, "little")[: n - 1].translate(_EQ), "little")
-
-
-def _free_byte(x: Word) -> int | None:
-    # a byte value that does not occur in x, or None when x holds all 256
-    for c in range(255, -1, -1):
-        if c not in x:
-            return c
-    return None
-
-
-def _delete(x: Word, a: int, drop: int, c: int | None) -> Word:
-    # x without the symbols the mask drop marks, where a is x read as an
-    # integer and c is _free_byte of x or of a word holding x's symbols:
-    # the OR sets each dropped byte to 255, the XOR turns it into c, and
-    # translate deletes c.  A word that holds all 256 byte values has no
-    # such c, and there compress keeps the other symbols.
-    n = len(x)
-    if c is None:
-        return bytes(compress(x, drop.to_bytes(n, "little").translate(_EQ)))
-    return ((a | drop * 255) ^ drop * (255 ^ c)).to_bytes(n, "little").translate(None, bytes((c,)))

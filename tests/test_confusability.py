@@ -36,7 +36,6 @@ from tdcodes.confusability import (
 )
 from tdcodes.oracle import _walk
 from tdcodes.roots import root_le3_depths
-from tdcodes.words import _free_byte
 
 from conftest import (
     iter_canonical_ternary,
@@ -196,10 +195,12 @@ def _cap_runs_by_loop(x):
     return bytes(out)
 
 
-@settings(max_examples=800, derandomize=True, deadline=None, database=None)
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_cap_runs_matches_loop_over_byte_alphabets(data):
-    kind = data.draw(st.sampled_from(("bytes", "all 256", "below 16", "one 16")), label="kind")
+    kind = data.draw(
+        st.sampled_from(("bytes", "all 256", "below 16", "one 16", "10 and 255")), label="kind"
+    )
     full = kind == "all 256"
     if full:
         alphabet = list(range(256))
@@ -210,10 +211,12 @@ def test_cap_runs_matches_loop_over_byte_alphabets(data):
     else:
         # symbols below 16 with 15 among them (words._squeeze's packed
         # translate, up to the top of a half byte), or with exactly one
-        # symbol, 16, that is not (its masks)
+        # symbol, 16, that is not (the regex); or with 10, the newline byte,
+        # and 255 (the regex, whose . must match every byte)
         alphabet = data.draw(
             st.lists(st.integers(0, 14), min_size=1, max_size=15, unique=True), label="alphabet"
-        ) + [15 if kind == "below 16" else 16]
+        )
+        alphabet += {"below 16": [15], "one 16": [16], "10 and 255": [10, 255]}[kind]
     runs = data.draw(
         st.lists(
             st.tuples(st.sampled_from(alphabet), st.integers(1, 50)), min_size=1, max_size=30
@@ -223,19 +226,21 @@ def test_cap_runs_matches_loop_over_byte_alphabets(data):
     x = b"".join(bytes((s,)) * k for s, k in runs)
     low = 1
     if full:
-        # the cut keeps every byte value and the first run, so no byte is
-        # free to mark the capped symbols (words._delete's other branch)
+        # the cut keeps every byte value and the first run
         x = bytes(data.draw(st.permutations(alphabet), label="perm")) + x
         low = 256 + runs[0][1]
     x = x[: data.draw(st.integers(low, len(x)), label="length")]
-    if full:
-        assert _free_byte(x) is None
     if kind in ("below 16", "one 16"):
         # a run of the top symbol anywhere, the ends included
         top = alphabet[-1]
         at = data.draw(st.integers(0, len(x)), label="at")
         x = x[:at] + bytes((top,)) * data.draw(st.integers(1, 4), label="top run") + x[at:]
         assert max(x) == top
+    if kind == "10 and 255":
+        # a run of three or more of each anywhere, the ends included
+        for top in (10, 255):
+            at = data.draw(st.integers(0, len(x)), label="at")
+            x = x[:at] + bytes((top,)) * data.draw(st.integers(3, 6), label="run") + x[at:]
     got = _cap_runs(x)
     assert got == _cap_runs_by_loop(x)
     if got == x:

@@ -17,7 +17,7 @@ from tdcodes import (
 from tdcodes import roots
 from tdcodes.confusability import _cap_runs
 from tdcodes.roots import _PREPASS_FLOOR, _prepass_stack, _stack, root_le3_depths
-from tdcodes.words import _free_byte
+from tdcodes.words import _narrow
 
 from conftest import (
     batched_descendant,
@@ -105,22 +105,28 @@ def test_kernel_matches_definitions_on_long_runs(data):
 # are dropped.
 _FORCED = [1 << 40, 0]
 # Relabelings of ternary words: symbols below 16 (the packed translates of
-# words._squeeze and words._sides) and, on every word that holds its third
-# symbol, one of 16 or more (their masks).
+# words._squeeze, words._sides and words._keep) and, on every word that
+# holds its third symbol, one of 16 or more, which root_le3_depths hands
+# to the stack.
 _RELABEL = [bytes.maketrans(b"\0\1\2", alphabet) for alphabet in (b"\0\1\2", b"\x0f\x00\x10")]
 
 
+def _prepass_or_stack(x: bytes) -> tuple[bytes, list[int]]:
+    # the pre-pass itself on a narrow word (root_le3_depths skips it below
+    # the floor), and root_le3_depths on a wide one
+    return _prepass_stack(x) if _narrow(x) else root_le3_depths(x)
+
+
 def test_triple_prepass_keeps_root_and_depth_table_exhaustive():
-    # every ternary word of length <= 11, through the pre-pass itself
-    # (root_le3_depths skips it below the floor), on each forced path and
-    # over a narrow and a wide alphabet
+    # every ternary word of length <= 11 on each forced path, over a
+    # narrow and a wide alphabet
     for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(roots, "_COLLAPSE_SHARE", share)
             for word in iter_ternary_words(1, 11):
                 for table in _RELABEL:
                     x = word.translate(table)
-                    assert _prepass_stack(x) == _stack(x, 3), (x, share)
+                    assert _prepass_or_stack(x) == _stack(x, 3), (x, share)
 
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
@@ -151,16 +157,16 @@ def test_stretch_triple_prepass_len13():
             for word in iter_ternary_words(12, 13):
                 for table in _RELABEL:
                     x = word.translate(table)
-                    assert _prepass_stack(x) == _stack(x, 3), (x, share)
+                    assert _prepass_or_stack(x) == _stack(x, 3), (x, share)
 
 
-def _pumped_word(data) -> tuple[bytes, int, bool]:
+def _pumped_word(data) -> tuple[bytes, int]:
     # a word over 3, 4, 5 or 256 byte values (the first three sizes drawn
     # all below 16, or with one of 16 or more: see _RELABEL) of a length on
     # either side of the floor, built from pieces that pump a triple, a
     # pair or one symbol between plain stretches, so that runs of equal
     # aligned blocks start at every phase; with the length of its head
-    # (below) and whether the word holds every byte value
+    # (below)
     q = data.draw(st.sampled_from((3, 4, 5, 256)), label="q")
     narrow = q < 256 and data.draw(st.booleans(), label="narrow")
     alphabet = data.draw(
@@ -174,9 +180,8 @@ def _pumped_word(data) -> tuple[bytes, int, bool]:
     pieces = []
     if every:
         # every byte value, then five or more copies of a triple: at least
-        # three equal aligned blocks, so a dropped one.  Both end within
-        # 256 + 600 < _PREPASS_FLOOR symbols, so the cut keeps them, and no
-        # byte is free to mark the dropped symbols
+        # three equal aligned blocks.  Both end within 256 + 600 <
+        # _PREPASS_FLOOR symbols, so the cut keeps them
         pieces.append(bytes(data.draw(st.permutations(alphabet), label="permutation")))
         triple = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=3, max_size=3)))
         pieces.append(triple * data.draw(st.integers(5, 200), label="copies"))
@@ -191,7 +196,7 @@ def _pumped_word(data) -> tuple[bytes, int, bool]:
             piece = bytes(data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=30)))
         pieces.insert(data.draw(st.integers(head, len(pieces)), label="at"), piece)
         size += len(piece)
-    return b"".join(pieces)[:n], sum(map(len, pieces[:head])), every
+    return b"".join(pieces)[:n], sum(map(len, pieces[:head]))
 
 
 def _repeat_symbols(data, x: bytes, start: int, most: int) -> bytes:
@@ -205,10 +210,12 @@ def _repeat_symbols(data, x: bytes, start: int, most: int) -> bytes:
 
 
 def _check_prepass(x: bytes) -> None:
-    # the public function, and the pre-pass with its share as it is and
-    # on each forced path, all give the stack's root and table
+    # the public function, and on a narrow word the pre-pass with its share
+    # as it is and on each forced path, all give the stack's root and table
     expected = _stack(x, 3)
     assert root_le3_depths(x) == expected
+    if not _narrow(x):
+        return
     assert _prepass_stack(x) == expected
     for share in _FORCED:
         with pytest.MonkeyPatch.context() as mp:
@@ -221,10 +228,8 @@ def _check_prepass(x: bytes) -> None:
 def test_triple_prepass_on_pumped_words(data):
     # pumped words with symbols doubled at random past the head and then
     # run-capped, so that the collapse applies, as on the decision's words
-    x, head, every = _pumped_word(data)
+    x, head = _pumped_word(data)
     x = _cap_runs(_repeat_symbols(data, x, head, 2))
-    if every:
-        assert _free_byte(x) is None
     _check_prepass(x)
 
 
@@ -234,7 +239,7 @@ def test_prepass_on_words_with_runs_of_three(data):
     # pumped words as drawn, and with symbols repeated up to five times,
     # with no capping: runs of three or more, which root_le3_depths, being
     # public, may be handed, and on which the collapse must not run
-    x, head, _ = _pumped_word(data)
+    x, head = _pumped_word(data)
     _check_prepass(x)
     _check_prepass(_repeat_symbols(data, x, head, 5))
 

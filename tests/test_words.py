@@ -22,6 +22,8 @@ def test_parse_render_roundtrip():
     assert render_word(bytes((0, 1, 2, 1, 0))) == "01210"
     assert parse_word("0,1,2,10", q=11) == bytes((0, 1, 2, 10))
     assert render_word(bytes((0, 1, 2, 10)), q=11) == "0,1,2,10"
+    with pytest.raises(ValueError, match="symbol 12 out of range for alphabet size 3"):
+        render_word(bytes((0, 12, 1)), 3)  # not "0121", another word
 
 
 def test_parse_render_roundtrip_large_alphabets():
@@ -34,6 +36,20 @@ def test_parse_render_roundtrip_large_alphabets():
         parse_word("012", q=13)  # a leading zero is no rendering of one symbol
     with pytest.raises(ValueError):
         parse_word("13", q=13)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_rendered_words_parse_back(data):
+    # a word renders exactly when its symbols are below q, and its text
+    # then parses back to it
+    q = data.draw(st.sampled_from((1, 2, 3, 10, 11, 13, 256)), label="q")
+    x = bytes(data.draw(st.lists(st.integers(0, min(q, 255)), min_size=1, max_size=8), label="x"))
+    if max(x) < q:
+        assert parse_word(render_word(x, q), q) == x
+    else:
+        with pytest.raises(ValueError, match=f"symbol {q} out of range for alphabet size {q}"):
+            render_word(x, q)
 
 
 def test_parse_rejects_bad_input():
@@ -88,9 +104,9 @@ def test_digit_text_over_every_small_alphabet():
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.data())
 def test_squeeze_and_sides_match_loops(data):
-    # symbols below 16 with a run of 15 among them (the packed route), or
-    # with a run of one symbol of 16 or more (the masks)
-    top = data.draw(st.sampled_from((15, 16, 255)), label="top")
+    # narrow words: symbols below 16 with a run of 15, the top of a half
+    # byte, among them
+    top = 15
     alphabet = data.draw(st.lists(st.integers(0, 14), min_size=1, max_size=4, unique=True)) + [top]
     runs = data.draw(st.lists(st.tuples(st.sampled_from(alphabet), st.integers(1, 5))))
     runs.insert(data.draw(st.integers(0, len(runs))), (top, data.draw(st.integers(1, 5))))
